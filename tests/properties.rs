@@ -407,6 +407,177 @@ fn assert_runtime_blocking_ask_confirm_equivalence(
     Ok(())
 }
 
+/// One step of a scripted coordination-protocol run (see
+/// [`assert_runtime_blocking_protocol_equivalence`]).  Action indices
+/// address [`protocol_pool_action`]; reservation indices address the
+/// reservations the script still holds.
+#[derive(Clone, Copy, Debug)]
+enum ProtocolOp {
+    /// Ask for a pool action; a grant joins the held set.
+    Ask(usize),
+    /// Confirm a held reservation (an id nobody was granted when none is
+    /// held).  Held reservations may have expired meanwhile.
+    Confirm(usize),
+    /// Abort a held reservation (an unknown id when none is held).
+    Abort(usize),
+    /// The combined ask-and-execute round trip.
+    Execute(usize),
+    /// A status query (`is_permitted`).
+    Probe(usize),
+    /// A subscription registration.
+    Subscribe(usize),
+    /// Advance the logical clock, expiring leases that ran out.
+    Tick(u64),
+}
+
+/// The pool of [`overlapping_expr`] actions, with the shared (regularly
+/// cross-shard) action `s` drawn half of the time.
+fn protocol_pool_action(i: usize) -> ix_core::Action {
+    match i % 12 {
+        0 => ix_core::Action::nullary("a"),
+        1 => ix_core::Action::nullary("b"),
+        2 => ix_core::Action::nullary("c"),
+        3 => ix_core::Action::nullary("d"),
+        4 => ix_core::Action::concrete("e", [Value::int(1)]),
+        5 => ix_core::Action::concrete("e", [Value::int(2)]),
+        _ => ix_core::Action::nullary("s"),
+    }
+}
+
+fn protocol_script() -> impl Strategy<Value = Vec<ProtocolOp>> {
+    let ask = || (0..12usize).prop_map(ProtocolOp::Ask);
+    let op = prop_oneof![
+        ask(),
+        ask(),
+        ask(),
+        (0..12usize).prop_map(ProtocolOp::Confirm),
+        (0..12usize).prop_map(ProtocolOp::Confirm),
+        (0..12usize).prop_map(ProtocolOp::Abort),
+        (0..12usize).prop_map(ProtocolOp::Execute),
+        (0..12usize).prop_map(ProtocolOp::Execute),
+        (0..12usize).prop_map(ProtocolOp::Probe),
+        (0..12usize).prop_map(ProtocolOp::Subscribe),
+        (1u64..4).prop_map(ProtocolOp::Tick),
+        (1u64..4).prop_map(ProtocolOp::Tick),
+    ];
+    proptest::collection::vec(op, 0..24)
+}
+
+/// The ask/confirm contract widened to the whole protocol: one scripted mix
+/// of asks, confirms and aborts of held reservations, executes, probes,
+/// subscriptions and clock ticks, run through a [`ManagerRuntime`] session
+/// and the blocking [`InteractionManager`] under the same variant.  Every
+/// op's outcome, every statistics counter and each shard's log projection
+/// must agree, and the runtime's merged log must replay as a legal word on
+/// the monolithic manager.  (The merged log's cross-shard real-time order
+/// is not compared verbatim.)
+fn assert_runtime_blocking_protocol_equivalence(
+    x: &Expr,
+    variant: ProtocolVariant,
+    script: &[ProtocolOp],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let blocking = InteractionManager::with_protocol(x, variant).unwrap();
+    let runtime = ManagerRuntime::with_protocol(x, variant).unwrap();
+    let session = runtime.session(1);
+    let mut held: Vec<u64> = Vec::new();
+    let take_held = |held: &mut Vec<u64>, i: usize| {
+        if held.is_empty() {
+            1_000
+        } else {
+            held.remove(i % held.len())
+        }
+    };
+    for op in script {
+        match *op {
+            ProtocolOp::Ask(i) => {
+                let action = protocol_pool_action(i);
+                let r = session.ask_blocking(&action);
+                let b = blocking.ask(1, &action);
+                prop_assert_eq!(&r, &b, "ask disagrees on `{}` for {} ({:?})", x, action, variant);
+                if let Ok(Some(id)) = r {
+                    if id != 0 {
+                        held.push(id);
+                    }
+                }
+            }
+            ProtocolOp::Confirm(i) => {
+                let id = take_held(&mut held, i);
+                let r = session.confirm_blocking(id).map(|_| ());
+                let b = blocking.confirm(id).map(|_| ());
+                prop_assert_eq!(r, b, "confirm of {} disagrees on `{}` ({:?})", id, x, variant);
+            }
+            ProtocolOp::Abort(i) => {
+                let id = take_held(&mut held, i);
+                let r = session.abort_blocking(id);
+                let b = blocking.abort(id);
+                prop_assert_eq!(r, b, "abort of {} disagrees on `{}` ({:?})", id, x, variant);
+            }
+            ProtocolOp::Execute(i) => {
+                let action = protocol_pool_action(i);
+                let r = session.execute_blocking(&action).map(|n| n.is_some());
+                let b = blocking.try_execute(1, &action).map(|n| n.is_some());
+                prop_assert_eq!(
+                    r,
+                    b,
+                    "execute disagrees on `{}` for {} ({:?})",
+                    x,
+                    action,
+                    variant
+                );
+            }
+            ProtocolOp::Probe(i) => {
+                let action = protocol_pool_action(i);
+                prop_assert_eq!(
+                    session.is_permitted_blocking(&action),
+                    blocking.is_permitted(&action),
+                    "is_permitted disagrees on `{}` for {} ({:?})",
+                    x,
+                    action,
+                    variant
+                );
+            }
+            ProtocolOp::Subscribe(i) => {
+                let action = protocol_pool_action(i);
+                let r = session.subscribe_blocking(&action);
+                let b = blocking.subscribe(1, &action);
+                prop_assert_eq!(r, Ok(b), "subscribe disagrees on `{}` for {}", x, action);
+            }
+            ProtocolOp::Tick(delta) => {
+                let mut r = session.advance_time(delta);
+                let mut b = blocking.advance_time(delta);
+                r.sort_by_key(|res| res.id);
+                b.sort_by_key(|res| res.id);
+                prop_assert_eq!(r, b, "expiries disagree on `{}` ({:?})", x, variant);
+            }
+        }
+    }
+    prop_assert_eq!(runtime.stats(), blocking.stats(), "stats diverge on `{}` ({:?})", x, variant);
+    let (runtime_log, blocking_log) = (runtime.log(), blocking.log());
+    for shard in 0..blocking.shard_count() {
+        let project = |log: &[ix_core::Action]| -> Vec<ix_core::Action> {
+            log.iter().filter(|a| blocking.owners_of(a).contains(&shard)).cloned().collect()
+        };
+        prop_assert_eq!(
+            project(&runtime_log),
+            project(&blocking_log),
+            "shard {}'s log projection diverges on `{}` ({:?})",
+            shard,
+            x,
+            variant
+        );
+    }
+    let replay = InteractionManager::monolithic(x, ProtocolVariant::Combined).unwrap();
+    for action in &runtime_log {
+        prop_assert!(
+            replay.try_execute(9, action).unwrap().is_some(),
+            "runtime log replay rejected {} on `{}` — not a legal word",
+            action,
+            x
+        );
+    }
+    Ok(())
+}
+
 /// Drives the same word through the fused copy-on-write τ̂ and the two-pass
 /// reference (pure τ followed by a separate ρ), asserting *state value*
 /// equality after every transition plus ψ/ϕ agreement — the correctness
@@ -931,6 +1102,26 @@ fn assert_cascade_lockstep_equivalence(
         );
     }
     Ok(())
+}
+
+proptest! {
+    // Multi-owner reservations need `s` coupled into several components and
+    // granted before the script confirms, aborts or expires it; the extra
+    // cases keep those paths exercised on every run.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn runtime_protocol_mix_matches_blocking_manager(
+        x in overlapping_expr(),
+        variant in prop_oneof![
+            Just(ProtocolVariant::Simple),
+            Just(ProtocolVariant::Leased { lease: 3 }),
+            Just(ProtocolVariant::Combined),
+        ],
+        script in protocol_script(),
+    ) {
+        assert_runtime_blocking_protocol_equivalence(&x, variant, &script)?;
+    }
 }
 
 proptest! {
