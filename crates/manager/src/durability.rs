@@ -32,11 +32,11 @@
 //! capture and rebuild.
 
 use crate::error::{ManagerError, ManagerResult};
-use crate::manager::{InteractionManager, ManagerStats, ProtocolVariant, Reservation};
+use crate::manager::{ManagerStats, Reservation};
 use crate::queue::QueueBackend;
-use crate::runtime::{DurableOp, LogKey, RuntimeReport, SubmissionRecord};
+use crate::runtime::{DurableOp, LogKey, SubmissionRecord};
 use crate::subscription::{ClientId, SubscriptionRow};
-use ix_core::{Action, Alphabet, Expr};
+use ix_core::{Action, Alphabet};
 use ix_durable::{
     decode_action, decode_alphabet, encode_action, encode_alphabet, CodecError, Reader,
     StateTableBuilder, StateTableReader, Vault, Writer, META_STREAM, QUEUE_STREAM,
@@ -874,24 +874,6 @@ pub(crate) fn decode_topology(bytes: &[u8]) -> ManagerResult<TopologyCheckpoint>
         Ok(TopologyCheckpoint { epoch, expr, components })
     })()
     .map_err(|e| codec_err("topology", e))
-}
-
-// ---------------------------------------------------------------------------
-// The one log-replay implementation
-// ---------------------------------------------------------------------------
-
-/// Rebuilds a blocking [`InteractionManager`] from a runtime's merged
-/// report: replay the confirmed log on a fresh manager, then hand back the
-/// runtime's counters and clock.  This is the single replay path — the
-/// protocol adapter's shutdown and any offline tooling go through here.
-pub(crate) fn rebuild_manager(
-    expr: &Expr,
-    variant: ProtocolVariant,
-    report: &RuntimeReport,
-) -> ManagerResult<InteractionManager> {
-    let manager = InteractionManager::recover(expr, variant, &report.log)?;
-    manager.restore(report.stats, report.clock);
-    Ok(manager)
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ pub mod durability;
 pub mod error;
 pub mod manager;
 pub mod multi;
-pub mod protocol;
 pub mod queue;
 pub mod runtime;
 pub mod subscription;
@@ -43,7 +42,6 @@ pub use error::{ManagerError, ManagerResult, SubmitError};
 pub use ix_durable::{FileVault, FsyncPolicy, MemVault, Vault};
 pub use manager::{BatchResult, InteractionManager, ManagerStats, ProtocolVariant, Reservation};
 pub use multi::ManagerFederation;
-pub use protocol::{ClientHandle, ManagerServer, Reply, Request};
 pub use queue::{DurableQueue, QueueBackend};
 pub use runtime::{
     CascadeStats, CheckpointReport, ClockMode, Completion, LoadReport, ManagerRuntime,

@@ -120,9 +120,8 @@ pub struct RuntimeOptions {
     /// exactly; the lockstep property tests prove the two modes (and the
     /// blocking manager) decide identically.
     pub cascade: bool,
-    /// Record a queueing-delay sample per completed execute — the time a
-    /// task waited in its shard queue vs the time the worker spent serving
-    /// it.  Drained via [`ManagerRuntime::drain_queue_samples`]; off by
+    /// Record a queueing-delay sample per completed task — the time it
+    /// waited in its shard queue vs the time the worker spent serving it.  Drained via [`ManagerRuntime::drain_queue_samples`]; off by
     /// default (each sample costs two clock reads on the worker).
     pub queue_metrics: bool,
     /// Fsync policy of the file-backed vault opened by
@@ -518,7 +517,7 @@ pub struct SchedStats {
 /// runtime-internal and never admitted.
 fn task_units(task: &Task) -> usize {
     match task {
-        Task::Single(_) | Task::Cross(_) | Task::Exec(_) => 1,
+        Task::Single(_) | Task::Multi(_) => 1,
         Task::Batch(tasks) => tasks.len(),
         Task::Pause(_)
         | Task::Snapshot(_)
@@ -533,8 +532,7 @@ fn task_units(task: &Task) -> usize {
 /// another shard, so they are unordered (always serveable).
 fn task_seq(task: &Task) -> u64 {
     match task {
-        Task::Cross(task) => task.seq,
-        Task::Exec(task) => task.seq,
+        Task::Multi(task) => task.seq,
         _ => 0,
     }
 }
@@ -1163,8 +1161,8 @@ enum Task {
     /// A session-side submission window: consecutive same-shard executes
     /// batched into one channel send (see [`Session::submit_batch`]).
     Batch(Vec<SingleTask>),
-    Cross(Arc<CrossTask>),
-    Exec(Arc<ExecTask>),
+    /// A multi-owner task, enqueued once on every owner's queue.
+    Multi(Arc<MultiTask>),
     /// A quiescence barrier of a live migration: the worker hands its whole
     /// shard state to the coordinator and blocks until it is returned.
     Pause(PauseTask),
@@ -1198,7 +1196,7 @@ struct SingleTask {
     submitted: Option<Instant>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Op {
     Execute { action: Action },
     Ask { action: Action },
@@ -1210,38 +1208,41 @@ enum Op {
     Query { action: Action },
 }
 
-/// A multi-owner task: enqueued onto every owner's queue (in ascending
-/// order, under the enqueue lock); the owners rendezvous on `sync` to vote,
-/// decide, and apply — the queue-based incarnation of the two-phase commit.
-struct CrossTask {
-    /// The topology epoch the submission was routed under.
-    epoch: u64,
-    /// Global rendezvous sequence ([`PoolCtl::seq`]) — the help-while-
-    /// waiting ordering bound.
-    seq: u64,
-    owners: Vec<usize>,
-    op: CrossOp,
-    sync: Mutex<CrossSync>,
-    barrier: Condvar,
+impl Op {
+    /// The action an action-addressed op names (`None` for the
+    /// reservation-addressed confirm/abort/expire).
+    fn action(&self) -> Option<&Action> {
+        match self {
+            Op::Execute { action }
+            | Op::Ask { action }
+            | Op::Subscribe { action }
+            | Op::Unsubscribe { action }
+            | Op::Query { action } => Some(action),
+            Op::Confirm { .. } | Op::Abort { .. } | Op::Expire { .. } => None,
+        }
+    }
 }
 
-#[derive(Clone)]
-enum CrossOp {
-    Ask { client: ClientId, action: Action },
-    Confirm { id: u64 },
-    Abort { id: u64 },
-    Expire { id: u64, now: u64 },
-    Subscribe { client: ClientId, action: Action },
-    Query { action: Action },
-}
-
-/// A multi-owner combined execute — the hot cross-shard task, carried by its
-/// own rendezvous object so that *consecutive runs* of them coalesce.
+/// A multi-owner task — the queue-based incarnation of the two-phase
+/// commit.  It is enqueued onto every owner's queue in ascending order
+/// under the enqueue lock, so all owners see it at the same position
+/// relative to every other multi-owner task; the owners vote on `sync`, the
+/// vote that settles the task decides it, and every owner applies the
+/// verdict.  There are two classes:
 ///
-/// A worker that dequeues one drains the whole already-queued run of
-/// same-owner-set executes (plus the single-owner executes interleaved
-/// between them) and walks it in one speculative pass, maintaining a chain
-/// of tentative successor states.  Votes come in two strengths:
+/// * **Coalesced** — executes and `Combined` asks (see
+///   [`coalesced_action`]).  A worker that dequeues one drains the whole
+///   already-queued run of same-owner-set coalesced tasks (plus the
+///   single-owner executes interleaved between them) and walks it in one
+///   speculative pass, maintaining a chain of tentative successor states.
+/// * **Unconditional** — reservation ops (confirm, abort, expire, and asks
+///   under `Simple`/`Leased`) and reads (subscribe, query).  Each ends a
+///   batch and is voted alone on the true shard state; it is decided only
+///   once *every* owner has voted, because each owner releases its copy of
+///   a reservation whatever the verdict and a read needs every owner's
+///   status bit.
+///
+/// Votes on coalesced tasks come in three strengths:
 ///
 /// * an **unconditional no** decides the task as denied on the spot — the
 ///   conjunction is already false, no rendezvous happens at all, and a
@@ -1281,16 +1282,17 @@ enum CrossOp {
 /// unbatched rendezvous; what changes is that owners park only on
 /// commit-pending tasks whose outcome genuinely awaits another shard's
 /// *first* vote, instead of once per barrier in a chain.
-struct ExecTask {
+struct MultiTask {
     /// The topology epoch the submission was routed under.
     epoch: u64,
     /// Global rendezvous sequence ([`PoolCtl::seq`]) — the help-while-
     /// waiting ordering bound.
     seq: u64,
     owners: Vec<usize>,
-    // The client is not part of a combined execute's semantics (exactly as
-    // in the blocking manager, which ignores it on this path).
-    action: Action,
+    // A combined execute ignores the client, exactly as the blocking
+    // manager does on that path; asks and subscriptions record it.
+    client: ClientId,
+    op: Op,
     /// Submission instant (queue-metrics mode only).
     submitted: Option<Instant>,
     /// Lock-free mirror of the decision (`EXEC_UNDECIDED` /
@@ -1300,22 +1302,25 @@ struct ExecTask {
     /// chain, so the cascade cannot deadlock with a voter walking the same
     /// chain.
     decided: AtomicU8,
-    sync: Mutex<ExecSync>,
+    sync: Mutex<MultiSync>,
     barrier: Condvar,
 }
 
-/// `ExecTask::decided` values.
+/// `MultiTask::decided` values.
 const EXEC_UNDECIDED: u8 = 0;
 const EXEC_COMMITTED: u8 = 1;
 const EXEC_DENIED: u8 = 2;
 
-/// One owner's vote on an [`ExecTask`].
+/// One owner's vote on a [`MultiTask`].
 enum Vote {
     /// Not deposited yet.
     Pending,
     /// Unconditional yes (deposited, or promoted from a verified
     /// conditional vote).
     Yes,
+    /// Unconditional no on an unconditional-class task (a coalesced task's
+    /// no decides it on the spot and is never stored).
+    No,
     /// Yes, assuming the tag's prefix outcomes — counts only once promoted.
     Conditional(ValidityTag),
 }
@@ -1352,7 +1357,7 @@ struct ValidityTag {
 /// per owner, which dominated the cascade's cost on deep batches.
 struct AssumedLink {
     /// The assumed-committed predecessor.
-    task: std::sync::Weak<ExecTask>,
+    task: std::sync::Weak<MultiTask>,
     /// The assumptions made before it, in reverse queue order.
     prev: Option<Arc<AssumedLink>>,
 }
@@ -1360,7 +1365,7 @@ struct AssumedLink {
 /// Iterates a tag's assumed-commit prefix (most recent assumption first).
 fn assumed_iter(
     head: &Option<Arc<AssumedLink>>,
-) -> impl Iterator<Item = &std::sync::Weak<ExecTask>> {
+) -> impl Iterator<Item = &std::sync::Weak<MultiTask>> {
     let mut cursor = head.as_ref();
     std::iter::from_fn(move || {
         let link = cursor?;
@@ -1369,97 +1374,54 @@ fn assumed_iter(
     })
 }
 
-struct ExecSync {
+struct MultiSync {
     /// Stale-route verdict, recorded by the first owner that examines an
     /// epoch-stale task; the other owners follow it so the rendezvous can
     /// never be half-retried.  `Some(true)` means the owner set widened and
     /// the task was re-dispatched through the current topology.
     stale: Option<bool>,
-    /// Per-owner votes, aligned with `owners`.  No-votes are never stored —
-    /// an unconditional no decides the task as denied immediately, a
-    /// conditional no is withheld entirely.
+    /// Per-owner votes, aligned with `owners`.
     votes: Vec<Vote>,
-    /// Number of unconditional (deposited or promoted) yes votes; the task
-    /// commits at `owners.len()`.
+    /// Number of unconditional (deposited or promoted) yes votes; a
+    /// coalesced task commits at `owners.len()`.
     yes_votes: usize,
     /// Whether any vote was ever promoted from a conditional — a commit
     /// with this set counts as a cascaded commit in the diagnostics.
     promoted_any: bool,
-    /// Next same-owner-set execute in queue order, linked idempotently by
-    /// every owner that coalesces the two into one batch (queue order is
-    /// identical on every shared queue, so the links agree).  Forward Arcs
-    /// only — the backward references of the validity tags are Weak, so the
-    /// chain is cycle-free.
-    cascade_next: Option<Arc<ExecTask>>,
-    /// The verdict, set exactly once (mirrored in [`ExecTask::decided`]).
-    decision: Option<ExecDecision>,
-    /// Owners that have applied a commit decision so far.
+    /// Next same-owner-set coalesced task in queue order, linked
+    /// idempotently by every owner that coalesces the two into one batch
+    /// (queue order is identical on every shared queue, so the links
+    /// agree).  Forward Arcs only — the backward references of the validity
+    /// tags are Weak, so the chain is cycle-free.
+    cascade_next: Option<Arc<MultiTask>>,
+    /// The verdict, set exactly once (mirrored in [`MultiTask::decided`]).
+    decision: Option<Verdict>,
+    /// The replicated reservation: the copy a confirm/abort/expiry released
+    /// (identical on every owner), or the one an ask was granted.
+    reservation: Option<Reservation>,
+    /// Owners that have applied a commit or grant so far.
     applied: usize,
     /// Local subscription notifications, tagged with the owner position so
     /// the merged order matches the blocking manager.
     notes: Vec<(usize, Vec<Notification>)>,
-    /// Refreshed cross-subscription bits deposited by the owners.
+    /// Refreshed cross-subscription bits deposited by the owners:
+    /// (action, owner shard id, permitted).
     cross_bits: Vec<(Action, usize, bool)>,
     ticket: Option<TicketIssuer<Completion>>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExecDecision {
-    /// All owners voted yes: install the prepared successors under sequence
-    /// number `seq`.
+enum Verdict {
+    /// All owners voted yes on a commit: install the prepared successors
+    /// under sequence number `seq`.
     Commit {
         /// The global log sequence number of the commit.
         seq: u64,
     },
-    /// Some owner voted an unconditional no.
-    Deny,
-}
-
-struct CrossSync {
-    /// Stale-route verdict (see [`ExecSync::stale`]).
-    stale: Option<bool>,
-    ticket: Option<TicketIssuer<Completion>>,
-    /// Owners that have voted so far.
-    votes: usize,
-    /// Conjunction of the votes.
-    ok: bool,
-    /// True if any owner held the referenced reservation (confirm/abort).
-    any_reservation: bool,
-    /// The removed reservation (identical copies on every owner).
-    removed: Option<Reservation>,
-    /// Per-owner status bits (query/subscribe), aligned with `owners`.
-    bits: Vec<bool>,
-    /// The verdict, set exactly once by the last voter.
-    decision: Option<Decision>,
-    /// The reservation created by a granted ask.
-    granted: Option<Reservation>,
-    /// Owners that have applied the decision so far.
-    applied: usize,
-    /// Per-owner local subscription notifications, aligned with `owners`
-    /// (kept per owner so the merged order matches the blocking manager).
-    notes: Vec<Vec<Notification>>,
-    /// Refreshed cross-subscription bits deposited by the owners:
-    /// (action, owner shard id, permitted).
-    cross_bits: Vec<(Action, usize, bool)>,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Decision {
-    /// All owners voted yes: install the prepared successors under sequence
-    /// number `seq`.
-    Commit { seq: u64 },
-    /// All owners voted yes on an ask: replicate the reservation.
+    /// All owners voted yes on a reserving ask: replicate the reservation.
     Reserve,
-    /// Some owner voted no.
-    Deny,
-    /// The referenced reservation is unknown everywhere.
-    Unknown,
-    /// A confirmed action was not executable (reservations consumed).
-    Rejected,
-    /// A reservation was released (abort/expiry), or there was nothing to
-    /// release.
-    Released,
-    /// A read-only rendezvous (query/subscribe) resolved.
+    /// Nothing to apply: the decider already completed the ticket (a
+    /// denial, an unknown or rejected reservation, a release, or a read).
     Done,
 }
 
@@ -2985,14 +2947,26 @@ impl ManagerRuntime {
         records
             .into_iter()
             .map(|record| match record.op {
-                DurableOp::Ask { ref action } => {
-                    submit_ask(&self.shared, &topo, record.client, action, Credit::Charge)
+                DurableOp::Ask { action } => submit_action(
+                    &self.shared,
+                    &topo,
+                    record.client,
+                    Op::Ask { action },
+                    Credit::Charge,
+                ),
+                DurableOp::Execute { action } => submit_action(
+                    &self.shared,
+                    &topo,
+                    record.client,
+                    Op::Execute { action },
+                    Credit::Charge,
+                ),
+                DurableOp::Confirm { id } => {
+                    submit_reservation_op(&self.shared, &self.topology, Op::Confirm { id })
                 }
-                DurableOp::Execute { ref action } => {
-                    submit_execute(&self.shared, &topo, record.client, action, Credit::Charge)
+                DurableOp::Abort { id } => {
+                    submit_reservation_op(&self.shared, &self.topology, Op::Abort { id })
                 }
-                DurableOp::Confirm { id } => submit_confirm(&self.shared, &self.topology, id),
-                DurableOp::Abort { id } => submit_abort(&self.shared, &self.topology, id),
             })
             .collect()
     }
@@ -3166,7 +3140,13 @@ impl Session {
             return completed(Completion::Failed { error: e.into() });
         }
         self.journal(DurableOp::Ask { action: action.clone() });
-        submit_ask(&self.shared, &topo, self.client, action, Credit::Held)
+        submit_action(
+            &self.shared,
+            &topo,
+            self.client,
+            Op::Ask { action: action.clone() },
+            Credit::Held,
+        )
     }
 
     /// The combined ask-and-execute round trip.  Resolves to
@@ -3191,7 +3171,8 @@ impl Session {
         let topo = self.snapshot();
         admit_submission(&topo, action, AdmitClass::Commit, AdmitClass::Speculative)?;
         self.journal(DurableOp::Execute { action: action.clone() });
-        Ok(submit_execute(&self.shared, &topo, self.client, action, Credit::Held))
+        let op = Op::Execute { action: action.clone() };
+        Ok(submit_action(&self.shared, &topo, self.client, op, Credit::Held))
     }
 
     /// Submits a whole *window* of combined executes with one topology
@@ -3277,7 +3258,8 @@ impl Session {
                 }
                 Route::Multi(owners) => {
                     flush_run(&topo, run_shard, &mut run);
-                    enqueue_exec(&topo, owners, action, issuer, submitted, Credit::Held);
+                    let op = Op::Execute { action };
+                    enqueue_multi(&topo, owners, self.client, op, issuer, submitted, Credit::Held);
                 }
             }
         }
@@ -3289,13 +3271,13 @@ impl Session {
     /// [`Completion::Confirmed`] or [`Completion::Failed`].
     pub fn confirm(&self, reservation: u64) -> Ticket<Completion> {
         self.journal(DurableOp::Confirm { id: reservation });
-        submit_confirm(&self.shared, &self.topology, reservation)
+        submit_reservation_op(&self.shared, &self.topology, Op::Confirm { id: reservation })
     }
 
     /// Explicitly releases a granted reservation without executing it.
     pub fn abort(&self, reservation: u64) -> Ticket<Completion> {
         self.journal(DurableOp::Abort { id: reservation });
-        submit_abort(&self.shared, &self.topology, reservation)
+        submit_reservation_op(&self.shared, &self.topology, Op::Abort { id: reservation })
     }
 
     /// Subscribes to permissibility changes of an action; the completion
@@ -3333,11 +3315,12 @@ impl Session {
                 Op::Subscribe { action: action.clone() },
                 Credit::Held,
             ),
-            Route::Multi(owners) => dispatch_cross(
+            Route::Multi(owners) => dispatch(
                 shared,
                 &topo,
                 owners,
-                CrossOp::Subscribe { client: self.client, action: action.clone() },
+                self.client,
+                Op::Subscribe { action: action.clone() },
                 Credit::Held,
             ),
         }
@@ -3392,11 +3375,12 @@ impl Session {
                 Op::Query { action: action.clone() },
                 Credit::Held,
             ),
-            Route::Multi(owners) => dispatch_cross(
+            Route::Multi(owners) => dispatch(
                 &self.shared,
                 &topo,
                 owners,
-                CrossOp::Query { action: action.clone() },
+                self.client,
+                Op::Query { action: action.clone() },
                 Credit::Held,
             ),
         }
@@ -3482,14 +3466,17 @@ impl Session {
 // Submission paths (shared by sessions and durable redelivery).
 // ---------------------------------------------------------------------------
 
-fn submit_ask(
+/// Submits an ask or execute (`op` names the action): non-concrete and
+/// unknown actions resolve inline, everything else goes to its owners.
+fn submit_action(
     shared: &Arc<RuntimeShared>,
     topo: &Arc<Topology>,
     client: ClientId,
-    action: &Action,
+    op: Op,
     credit: Credit,
 ) -> Ticket<Completion> {
     shared.stats.asks.fetch_add(1, Ordering::Relaxed);
+    let action = op.action().expect("asks and executes name an action");
     if !action.is_concrete() {
         meta_event(shared, StatDelta { asks: 1, ..StatDelta::ZERO });
         return completed(Completion::Failed {
@@ -3504,83 +3491,26 @@ fn submit_ask(
             meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
             completed(Completion::Denied)
         }
-        Route::Single(shard) => {
-            dispatch_single(shared, topo, shard, client, Op::Ask { action: action.clone() }, credit)
-        }
-        Route::Multi(owners) => dispatch_cross(
-            shared,
-            topo,
-            owners,
-            CrossOp::Ask { client, action: action.clone() },
-            credit,
-        ),
+        Route::Single(shard) => dispatch_single(shared, topo, shard, client, op, credit),
+        Route::Multi(owners) => dispatch(shared, topo, owners, client, op, credit),
     }
 }
 
-fn submit_execute(
+/// Submits a confirm or abort to the owners the reservation index records
+/// for its reservation (`UnknownReservation` inline when none does).
+fn submit_reservation_op(
     shared: &Arc<RuntimeShared>,
-    topo: &Arc<Topology>,
-    client: ClientId,
-    action: &Action,
-    credit: Credit,
+    slot: &TopologySlot,
+    op: Op,
 ) -> Ticket<Completion> {
-    shared.stats.asks.fetch_add(1, Ordering::Relaxed);
-    if !action.is_concrete() {
-        meta_event(shared, StatDelta { asks: 1, ..StatDelta::ZERO });
-        return completed(Completion::Failed {
-            error: ManagerError::NonConcreteAction { action: action.to_string() },
-        });
-    }
-    match topo.router.classify(action) {
-        Route::None => {
-            shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-            meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-            completed(Completion::Denied)
-        }
-        Route::Single(shard) => dispatch_single(
-            shared,
-            topo,
-            shard,
-            client,
-            Op::Execute { action: action.clone() },
-            credit,
-        ),
-        Route::Multi(owners) => {
-            let (issuer, t) = ticket();
-            let submitted = stamp_submitted(shared);
-            let _guard = lock(&shared.cross_enqueue);
-            enqueue_exec(topo, owners, action.clone(), issuer, submitted, credit);
-            t
-        }
-    }
-}
-
-fn submit_confirm(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> Ticket<Completion> {
-    let owners = match lock(&shared.reservation_index).get(&id) {
-        Some(owners) => owners.clone(),
-        None => {
-            return completed(Completion::Failed { error: ManagerError::UnknownReservation { id } })
-        }
+    let (Op::Confirm { id } | Op::Abort { id }) = op else {
+        unreachable!("confirm or abort only");
+    };
+    let Some(owners) = lock(&shared.reservation_index).get(&id).cloned() else {
+        return completed(Completion::Failed { error: ManagerError::UnknownReservation { id } });
     };
     let topo = covering_topology(slot, &owners);
-    match owners.as_slice() {
-        [shard] => dispatch_single(shared, &topo, *shard, 0, Op::Confirm { id }, Credit::Charge),
-        _ => dispatch_cross(shared, &topo, owners, CrossOp::Confirm { id }, Credit::Charge),
-    }
-}
-
-fn submit_abort(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> Ticket<Completion> {
-    let owners = match lock(&shared.reservation_index).get(&id) {
-        Some(owners) => owners.clone(),
-        None => {
-            return completed(Completion::Failed { error: ManagerError::UnknownReservation { id } })
-        }
-    };
-    let topo = covering_topology(slot, &owners);
-    match owners.as_slice() {
-        [shard] => dispatch_single(shared, &topo, *shard, 0, Op::Abort { id }, Credit::Charge),
-        _ => dispatch_cross(shared, &topo, owners, CrossOp::Abort { id }, Credit::Charge),
-    }
+    dispatch(shared, &topo, owners, 0, op, Credit::Charge)
 }
 
 /// Removes a cross-shard subscription from the runtime-level registry (no
@@ -3667,15 +3597,15 @@ fn flush_run(topo: &Topology, shard: usize, run: &mut Vec<SingleTask>) {
     run.clear();
 }
 
-/// Enqueues a multi-owner combined execute onto every owner's queue in
-/// ascending order.  The caller must hold the cross-enqueue lock; the task
-/// (rendezvous state, ticket, action) is built entirely outside of it in
-/// the dispatch wrappers — the critical section is exactly the send loop
-/// that fixes the task's relative order.
-fn enqueue_exec(
+/// Enqueues a multi-owner task onto every owner's queue in ascending order
+/// — the ordered-enqueue incarnation of the 2PC lock order.  The caller
+/// must hold the cross-enqueue lock; the critical section is exactly the
+/// send loop that fixes the task's relative order.
+fn enqueue_multi(
     topo: &Topology,
     owners: Vec<usize>,
-    action: Action,
+    client: ClientId,
+    op: Op,
     issuer: TicketIssuer<Completion>,
     submitted: Option<Instant>,
     credit: Credit,
@@ -3686,20 +3616,22 @@ fn enqueue_exec(
         }
     }
     let n = owners.len();
-    let task = Arc::new(ExecTask {
+    let task = Arc::new(MultiTask {
         epoch: topo.epoch(),
         seq: topo.pool.seq.fetch_add(1, Ordering::Relaxed) + 1,
         owners,
-        action,
+        client,
+        op,
         submitted,
         decided: AtomicU8::new(EXEC_UNDECIDED),
-        sync: Mutex::new(ExecSync {
+        sync: Mutex::new(MultiSync {
             stale: None,
             votes: (0..n).map(|_| Vote::Pending).collect(),
             yes_votes: 0,
             promoted_any: false,
             cascade_next: None,
             decision: None,
+            reservation: None,
             applied: 0,
             notes: Vec::new(),
             cross_bits: Vec::new(),
@@ -3707,87 +3639,37 @@ fn enqueue_exec(
         }),
         barrier: Condvar::new(),
     });
-    let mut failed = false;
-    for &owner in &task.owners {
-        if topo.queues[owner].send(Task::Exec(Arc::clone(&task))).is_err() {
-            failed = true;
-            break;
+    let sent = task.owners.iter().all(|&owner| {
+        let sent = topo.queues[owner].send(Task::Multi(Arc::clone(&task))).is_ok();
+        if sent {
+            topo.pool.core.wake_shard(owner);
         }
-        topo.pool.core.wake_shard(owner);
-    }
-    if failed {
+        sent
+    });
+    if !sent {
         // Queues only disconnect when the runtime is gone; nobody will ever
         // rendezvous, so fail the ticket here.
-        if let Some(issuer) = lock(&task.sync).ticket.take() {
-            issuer.complete(Completion::Failed { error: ManagerError::Disconnected });
-        }
+        fail_task(Task::Multi(task));
     }
 }
 
-/// Enqueues an already-issued cross-shard task onto every owner's queue in
-/// ascending order.  The caller must hold the cross-enqueue lock — the
-/// ordered-enqueue incarnation of the 2PC lock order.
-fn enqueue_cross(
-    topo: &Topology,
-    owners: Vec<usize>,
-    op: CrossOp,
-    issuer: TicketIssuer<Completion>,
-    credit: Credit,
-) {
-    if credit == Credit::Charge {
-        for &owner in &owners {
-            topo.gates[owner].charge(1);
-        }
-    }
-    let n = owners.len();
-    let task = Arc::new(CrossTask {
-        epoch: topo.epoch(),
-        seq: topo.pool.seq.fetch_add(1, Ordering::Relaxed) + 1,
-        owners,
-        op,
-        sync: Mutex::new(CrossSync {
-            stale: None,
-            ticket: Some(issuer),
-            votes: 0,
-            ok: true,
-            any_reservation: false,
-            removed: None,
-            bits: vec![false; n],
-            decision: None,
-            granted: None,
-            applied: 0,
-            notes: vec![Vec::new(); n],
-            cross_bits: Vec::new(),
-        }),
-        barrier: Condvar::new(),
-    });
-    let mut failed = false;
-    for &owner in &task.owners {
-        if topo.queues[owner].send(Task::Cross(Arc::clone(&task))).is_err() {
-            failed = true;
-            break;
-        }
-        topo.pool.core.wake_shard(owner);
-    }
-    if failed {
-        if let Some(issuer) = lock(&task.sync).ticket.take() {
-            issuer.complete(Completion::Failed { error: ManagerError::Disconnected });
-        }
-    }
-}
-
-/// Enqueues a cross-shard task under the enqueue lock and returns its
-/// ticket.
-fn dispatch_cross(
+/// Enqueues `op` on its owners — one queue for a single owner, the
+/// multi-owner rendezvous otherwise — and returns its ticket.
+fn dispatch(
     shared: &RuntimeShared,
     topo: &Topology,
     owners: Vec<usize>,
-    op: CrossOp,
+    client: ClientId,
+    op: Op,
     credit: Credit,
 ) -> Ticket<Completion> {
+    if let [shard] = owners[..] {
+        return dispatch_single(shared, topo, shard, client, op, credit);
+    }
     let (issuer, t) = ticket();
+    let submitted = stamp_submitted(shared);
     let _guard = lock(&shared.cross_enqueue);
-    enqueue_cross(topo, owners, op, issuer, credit);
+    enqueue_multi(topo, owners, client, op, issuer, submitted, credit);
     t
 }
 
@@ -4037,23 +3919,14 @@ fn advance_clock(shared: &Arc<RuntimeShared>, slot: &TopologySlot, delta: u64) -
             let owners =
                 lock(&shared.reservation_index).get(&event.id).cloned().unwrap_or(event.owners);
             let topo = covering_topology(slot, &owners);
-            Some(match owners.as_slice() {
-                [shard] => dispatch_single(
-                    shared,
-                    &topo,
-                    *shard,
-                    0,
-                    Op::Expire { id: event.id, now },
-                    Credit::Charge,
-                ),
-                _ => dispatch_cross(
-                    shared,
-                    &topo,
-                    owners,
-                    CrossOp::Expire { id: event.id, now },
-                    Credit::Charge,
-                ),
-            })
+            Some(dispatch(
+                shared,
+                &topo,
+                owners,
+                0,
+                Op::Expire { id: event.id, now },
+                Credit::Charge,
+            ))
         })
         .collect();
     let expired = tickets
@@ -4121,7 +3994,7 @@ struct WorkerCtx {
     wakes: WakeBatch,
     /// Queueing-delay sampling enabled ([`RuntimeOptions::queue_metrics`]).
     metrics: bool,
-    /// This shard's admission gate; completed executes feed its
+    /// This shard's admission gate; completed tasks feed its
     /// wait/service EWMAs whenever the gate is active.
     gate: Arc<ShardGate>,
     /// Instant the worker dequeued the task (or drained the batch) it is
@@ -4155,9 +4028,9 @@ impl WorkerCtx {
         }
     }
 
-    /// Records one completed execute: how long it sat in the queue before
-    /// this worker picked it up vs how long the worker spent on it.  For a
-    /// cross-shard execute the recording owner's own drain boundary is the
+    /// Records one completed task: how long it sat in the queue before this
+    /// worker picked it up vs how long the worker spent on it.  For a
+    /// multi-owner task the settling owner's own drain boundary is the
     /// reference — the honest per-shard view of the rendezvous cost.
     fn record(&mut self, submitted: Option<Instant>) {
         if !self.timing() {
@@ -4347,51 +4220,52 @@ fn serve_slice(
             Task::Batch(tasks) => {
                 process_batch_window(shared, &mut st, tasks, cx, &mut divert_below)
             }
-            Task::Cross(task) => {
-                if cross_is_live(shared, &task, &mut divert_below) {
-                    cx.flush(shared);
-                    process_cross(shared, &mut st, &task, &help, cx)
-                }
-            }
-            Task::Exec(task) => {
-                if !exec_is_live(shared, &task, &mut divert_below) {
+            Task::Multi(task) => {
+                if !multi_is_live(shared, &task, &mut divert_below) {
                     continue;
                 }
-                // Coalesce the already-queued consecutive run of same-owner-
-                // set executes — plus the single-owner executes interleaved
-                // between them — into one speculative batch: the rendezvous
-                // votes once per batch instead of once per action.
-                let mut batch = Batch::new(task);
-                loop {
-                    match slot.rx.try_recv() {
-                        Ok(Task::Exec(next))
-                            if next.owners == batch.owners && next.seq <= limit =>
-                        {
-                            cx.gate.release(1);
-                            if exec_is_live(shared, &next, &mut divert_below) {
-                                batch.push_exec(shared, next)
-                            }
-                        }
-                        Ok(Task::Single(single)) if matches!(single.op, Op::Execute { .. }) => {
-                            cx.gate.release(1);
-                            if let Some(single) =
-                                ensure_single_route(shared, &st, single, cx, &mut divert_below)
+                if coalesced_action(shared, &task).is_none() {
+                    process_multi(shared, &mut st, task, &help, cx);
+                } else {
+                    // Coalesce the already-queued consecutive run of same-
+                    // owner-set coalesced tasks — plus the single-owner
+                    // executes interleaved between them — into one
+                    // speculative batch: the rendezvous votes once per batch
+                    // instead of once per action.
+                    let mut batch = Batch::new(shared, task);
+                    loop {
+                        match slot.rx.try_recv() {
+                            Ok(Task::Multi(next))
+                                if next.owners == batch.owners
+                                    && next.seq <= limit
+                                    && coalesced_action(shared, &next).is_some() =>
                             {
-                                batch.push_local(single)
+                                cx.gate.release(1);
+                                if multi_is_live(shared, &next, &mut divert_below) {
+                                    batch.push_exec(shared, next)
+                                }
                             }
+                            Ok(Task::Single(single)) if matches!(single.op, Op::Execute { .. }) => {
+                                cx.gate.release(1);
+                                if let Some(single) =
+                                    ensure_single_route(shared, &st, single, cx, &mut divert_below)
+                                {
+                                    batch.push_local(single)
+                                }
+                            }
+                            Ok(other) => {
+                                cx.gate.release(task_units(&other));
+                                pushback = Some(other);
+                                break;
+                            }
+                            Err(_) => break,
                         }
-                        Ok(other) => {
-                            cx.gate.release(task_units(&other));
-                            pushback = Some(other);
+                        if batch.actions.len() >= MAX_BATCH {
                             break;
                         }
-                        Err(_) => break,
                     }
-                    if batch.actions.len() >= MAX_BATCH {
-                        break;
-                    }
+                    process_batch(shared, &mut st, batch, &help, cx);
                 }
-                process_batch(shared, &mut st, batch, &help, cx);
             }
             Task::Pause(pause) => {
                 // Quiescence point of a live migration: deliver the banked
@@ -4458,12 +4332,7 @@ fn fail_task(task: Task) {
                 task.ticket.complete(disconnected());
             }
         }
-        Task::Cross(task) => {
-            if let Some(issuer) = lock(&task.sync).ticket.take() {
-                issuer.complete(disconnected());
-            }
-        }
-        Task::Exec(task) => {
+        Task::Multi(task) => {
             if let Some(issuer) = lock(&task.sync).ticket.take() {
                 issuer.complete(disconnected());
             }
@@ -4506,53 +4375,32 @@ fn ensure_single_route(
     };
     let topo = read_topology(&slot);
     let behind_divert = task.epoch < *divert_below;
-    match &task.op {
-        Op::Execute { action }
-        | Op::Ask { action }
-        | Op::Subscribe { action }
-        | Op::Unsubscribe { action }
-        | Op::Query { action } => match topo.router.classify(action) {
-            Route::Single(shard) if shard == st.id && !behind_divert => Some(task),
-            route => {
-                shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
-                *divert_below = topo.epoch();
-                let _guard = lock(&shared.cross_enqueue);
-                redispatch_single(shared, &topo, task, route, cx);
-                None
-            }
+    let route = match task.op.action() {
+        Some(action) => match topo.router.classify(action) {
+            Route::Single(shard) if shard == st.id && !behind_divert => return Some(task),
+            route => route,
         },
-        Op::Confirm { id } | Op::Abort { id } | Op::Expire { id, .. } => {
-            let owners = lock(&shared.reservation_index).get(id).cloned();
-            match owners {
-                // Reservation gone (or never indexed): resolve locally —
-                // the shard table is authoritative and reports Unknown.
-                // (Reservation ops are never part of a pipelined execute
-                // window, so the divert watermark does not apply.)
-                None => Some(task),
-                Some(owners) if owners.as_slice() == [st.id] => Some(task),
-                Some(owners) => {
-                    shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
-                    *divert_below = topo.epoch();
-                    let SingleTask { op, ticket, .. } = task;
-                    let op = match op {
-                        Op::Confirm { id } => CrossOp::Confirm { id },
-                        Op::Abort { id } => CrossOp::Abort { id },
-                        Op::Expire { id, now } => CrossOp::Expire { id, now },
-                        _ => unreachable!("reservation ops only"),
-                    };
-                    let _guard = lock(&shared.cross_enqueue);
-                    enqueue_cross(&topo, owners, op, ticket, Credit::Charge);
-                    None
-                }
-            }
-        }
-    }
+        // Reservation ops are never part of a pipelined execute window, so
+        // the divert watermark does not apply.  A reservation gone (or never
+        // indexed) resolves locally: the shard table is authoritative and
+        // reports Unknown.
+        None => match op_owners(shared, &topo, &task.op) {
+            Some(owners) if owners.as_slice() != [st.id] => Route::Multi(owners),
+            _ => return Some(task),
+        },
+    };
+    shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
+    *divert_below = topo.epoch();
+    let _guard = lock(&shared.cross_enqueue);
+    redispatch_single(shared, &topo, task, route, cx);
+    None
 }
 
-/// Re-dispatches a single task whose owner set widened.  Owner sets never
-/// shrink, so the new route is multi-owner (the `Route::None` and foreign
-/// single-owner arms are defensive).  The caller must hold the
-/// cross-enqueue lock.
+/// Re-dispatches a diverted single task along `route`, its route under the
+/// current topology, with its original ticket: a widened owner set (owner
+/// sets never shrink) or, for the tail of a diverted submission window, the
+/// same or another single owner.  The caller must hold the cross-enqueue
+/// lock.
 fn redispatch_single(
     shared: &Arc<RuntimeShared>,
     topo: &Arc<Topology>,
@@ -4565,27 +4413,14 @@ fn redispatch_single(
         (op, Route::Single(shard)) => {
             enqueue_single(topo, shard, client, op, issuer, submitted, Credit::Charge)
         }
-        (Op::Execute { action }, Route::Multi(owners)) => {
-            enqueue_exec(topo, owners, action, issuer, submitted, Credit::Charge);
-        }
-        (Op::Ask { action }, Route::Multi(owners)) => {
-            enqueue_cross(topo, owners, CrossOp::Ask { client, action }, issuer, Credit::Charge)
-        }
-        (Op::Subscribe { action }, Route::Multi(owners)) => enqueue_cross(
-            topo,
-            owners,
-            CrossOp::Subscribe { client, action },
-            issuer,
-            Credit::Charge,
-        ),
         (Op::Unsubscribe { action }, Route::Multi(_)) => {
             // The migration promoted the registration to the cross-shard
             // registry; remove it there.
             cross_unsubscribe(shared, client, &action);
             fulfil(issuer, Completion::Unsubscribed, cx);
         }
-        (Op::Query { action }, Route::Multi(owners)) => {
-            enqueue_cross(topo, owners, CrossOp::Query { action }, issuer, Credit::Charge)
+        (op, Route::Multi(owners)) => {
+            enqueue_multi(topo, owners, client, op, issuer, submitted, Credit::Charge)
         }
         (op, Route::None) => {
             // Owner sets never shrink; complete with the outcome an
@@ -4619,7 +4454,6 @@ fn redispatch_single(
             };
             fulfil(issuer, completion, cx);
         }
-        (op, route) => unreachable!("unhandled stale reroute {op:?} -> {route:?}"),
     }
 }
 
@@ -4666,45 +4500,36 @@ fn process_batch_window(
         let _guard = lock(&shared.cross_enqueue);
         for task in std::iter::once(task).chain(iter) {
             shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
-            let SingleTask { client, op, ticket, submitted, .. } = task;
-            let Op::Execute { action } = op else {
-                unreachable!("submission windows carry executes only");
-            };
-            match topo.router.classify(&action) {
-                Route::Single(shard) => enqueue_single(
-                    &topo,
-                    shard,
-                    client,
-                    Op::Execute { action },
-                    ticket,
-                    submitted,
-                    Credit::Charge,
-                ),
-                Route::Multi(owners) => {
-                    enqueue_exec(&topo, owners, action, ticket, submitted, Credit::Charge)
-                }
-                Route::None => {
-                    shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                    meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-                    fulfil(ticket, Completion::Denied, cx);
-                }
-            }
+            let route = topo.router.classify(task.op.action().expect("executes name an action"));
+            redispatch_single(shared, &topo, task, route, cx);
         }
         return;
     }
 }
 
-/// Decides whether an epoch-stale cross task is still correctly routed.
-/// The verdict is recorded in the task's rendezvous state by the **first**
-/// owner that examines it, and every other owner follows that record — a
-/// rendezvous is either processed by all of its owners or re-dispatched by
-/// exactly one and skipped by the rest, never half/half.  (The pause
-/// barriers guarantee that a task whose owner set actually widened is seen
-/// by *all* of its owners only after the migration, so a recorded verdict
-/// can never contradict an already-deposited vote.)
-fn cross_is_live(
+/// The owners `op` routes to under `topo`: the action's owners, or the
+/// owners the index records for the reservation it names (`None` once the
+/// reservation is gone, or when the runtime is tearing down).
+fn op_owners(shared: &RuntimeShared, topo: &Topology, op: &Op) -> Option<Vec<usize>> {
+    match op {
+        Op::Confirm { id } | Op::Abort { id } | Op::Expire { id, .. } => {
+            lock(&shared.reservation_index).get(id).cloned()
+        }
+        op => op.action().map(|action| topo.router.owners(action)),
+    }
+}
+
+/// Decides whether an epoch-stale multi-owner task is still correctly
+/// routed.  The verdict is recorded in the task's rendezvous state by the
+/// **first** owner that examines it, and every other owner follows that
+/// record — a rendezvous is either processed by all of its owners or
+/// re-dispatched by exactly one and skipped by the rest, never half/half.
+/// (The pause barriers guarantee that a task whose owner set actually
+/// widened is seen by *all* of its owners only after the migration, so a
+/// recorded verdict can never contradict an already-deposited vote.)
+fn multi_is_live(
     shared: &Arc<RuntimeShared>,
-    task: &Arc<CrossTask>,
+    task: &Arc<MultiTask>,
     divert_below: &mut u64,
 ) -> bool {
     if task.epoch == shared.epoch.load(Ordering::Acquire) {
@@ -4720,21 +4545,15 @@ fn cross_is_live(
         }
         return !stale;
     }
-    if sync.votes > 0 || sync.decision.is_some() {
-        // Somebody already voted under the old epoch, so the owner set
-        // cannot have changed (its owners could not straddle a migration).
+    if sync.votes.iter().any(|v| !matches!(v, Vote::Pending)) || sync.decision.is_some() {
+        // Somebody already voted (even conditionally) under the old epoch,
+        // so the owner set cannot have changed (its owners could not
+        // straddle a migration).
         sync.stale = Some(false);
         return true;
     }
     let current = shared.topology.upgrade().map(|slot| read_topology(&slot));
-    let owners = current.as_ref().and_then(|topo| match &task.op {
-        CrossOp::Ask { action, .. }
-        | CrossOp::Subscribe { action, .. }
-        | CrossOp::Query { action } => Some(topo.router.owners(action)),
-        CrossOp::Confirm { id } | CrossOp::Abort { id } | CrossOp::Expire { id, .. } => {
-            lock(&shared.reservation_index).get(id).cloned()
-        }
-    });
+    let owners = current.as_ref().and_then(|topo| op_owners(shared, topo, &task.op));
     let (stale, owners) = match owners {
         Some(owners) if owners != task.owners => (true, owners),
         _ => (false, Vec::new()),
@@ -4753,53 +4572,26 @@ fn cross_is_live(
     if let (Some(topo), Some(issuer)) = (current, issuer) {
         *divert_below = topo.epoch();
         let _guard = lock(&shared.cross_enqueue);
-        enqueue_cross(&topo, owners, task.op.clone(), issuer, Credit::Charge);
-    }
-    false
-}
-
-/// The [`cross_is_live`] analogue for coalesced multi-owner executes.
-fn exec_is_live(shared: &Arc<RuntimeShared>, task: &Arc<ExecTask>, divert_below: &mut u64) -> bool {
-    if task.epoch == shared.epoch.load(Ordering::Acquire) {
-        return true;
-    }
-    let mut sync = lock(&task.sync);
-    if let Some(stale) = sync.stale {
-        if stale {
-            *divert_below = (*divert_below).max(shared.epoch.load(Ordering::Acquire));
-        }
-        return !stale;
-    }
-    if sync.votes.iter().any(|v| !matches!(v, Vote::Pending)) || sync.decision.is_some() {
-        // Somebody already voted (even conditionally) under the old epoch,
-        // so the owner set cannot have changed.
-        sync.stale = Some(false);
-        return true;
-    }
-    let current = shared.topology.upgrade().map(|slot| read_topology(&slot));
-    let owners = current.as_ref().map(|topo| topo.router.owners(&task.action));
-    let (stale, owners) = match owners {
-        Some(owners) if owners != task.owners => (true, owners),
-        _ => (false, Vec::new()),
-    };
-    sync.stale = Some(stale);
-    if !stale {
-        return true;
-    }
-    // Held-lock re-dispatch, as in `cross_is_live`.
-    shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
-    let issuer = sync.ticket.take();
-    if let (Some(topo), Some(issuer)) = (current, issuer) {
-        *divert_below = topo.epoch();
-        let _guard = lock(&shared.cross_enqueue);
-        enqueue_exec(&topo, owners, task.action.clone(), issuer, task.submitted, Credit::Charge);
+        let op = task.op.clone();
+        enqueue_multi(&topo, owners, task.client, op, issuer, task.submitted, Credit::Charge);
     }
     false
 }
 
 // ---------------------------------------------------------------------------
-// The coalesced multi-owner execute rendezvous.
+// The multi-owner rendezvous.
 // ---------------------------------------------------------------------------
+
+/// The action of a coalesced multi-owner task — an execute, or an ask under
+/// `Combined` (which votes, commits and counts like an execute) — or `None`
+/// for the unconditional class (reservation ops and reads).
+fn coalesced_action<'t>(shared: &RuntimeShared, task: &'t MultiTask) -> Option<&'t Action> {
+    match &task.op {
+        Op::Execute { action } => Some(action),
+        Op::Ask { action } if matches!(shared.variant, ProtocolVariant::Combined) => Some(action),
+        _ => None,
+    }
+}
 
 /// Upper bound on the items one speculative batch may absorb — bounds the
 /// cost of recomputing a speculation tail after a denial.
@@ -4839,14 +4631,14 @@ fn publish_reservation_fp(shared: &RuntimeShared, st: &ShardState) {
     lock(&shared.reservation_fps).insert(st.id, fp);
 }
 
-/// Records the verdict: the single place `ExecSync::decision` is set.
-/// Mirrors it into the lock-free [`ExecTask::decided`] atomic (read by tag
+/// Records the verdict: the single place `MultiSync::decision` is set.
+/// Mirrors it into the lock-free [`MultiTask::decided`] atomic (read by tag
 /// verification without taking this task's lock) and wakes parked owners.
-fn set_exec_decision(task: &ExecTask, sync: &mut ExecSync, decision: ExecDecision) {
+fn set_decision(task: &MultiTask, sync: &mut MultiSync, decision: Verdict) {
     sync.decision = Some(decision);
     let mirror = match decision {
-        ExecDecision::Commit { .. } => EXEC_COMMITTED,
-        ExecDecision::Deny => EXEC_DENIED,
+        Verdict::Commit { .. } => EXEC_COMMITTED,
+        Verdict::Reserve | Verdict::Done => EXEC_DENIED,
     };
     task.decided.store(mirror, Ordering::Release);
     task.barrier.notify_all();
@@ -4878,9 +4670,9 @@ fn tag_valid(shared: &RuntimeShared, tag: &ValidityTag) -> bool {
 /// the cascade links once the lock is dropped.
 fn try_decide_exec(
     shared: &RuntimeShared,
-    task: &ExecTask,
-    sync: &mut ExecSync,
-) -> Option<ExecDecision> {
+    task: &MultiTask,
+    sync: &mut MultiSync,
+) -> Option<Verdict> {
     if sync.decision.is_some() {
         return None;
     }
@@ -4912,30 +4704,42 @@ fn try_decide_exec(
         if sync.promoted_any {
             shared.cascade_counters.cascaded_commits.fetch_add(1, Ordering::Relaxed);
         }
-        let decision = ExecDecision::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) };
-        set_exec_decision(task, sync, decision);
+        let decision = Verdict::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) };
+        set_decision(task, sync, decision);
         return Some(decision);
     }
     None
 }
 
 /// Deposits this owner's *unconditional* vote and decides the task when the
-/// vote settles it: a no decides `Deny` immediately (the conjunction is
-/// false), while a yes triggers promotion of any verifiable conditional
-/// votes and decides `Commit` when the count completes.  Must only be
-/// called when the outcome of every same-owner-set predecessor is known to
-/// the caller and reflected in the vote's base state.  Supersedes this
-/// owner's own earlier conditional vote, never an unconditional one.
+/// vote settles it.  On a coalesced task a no decides `Done` (denied)
+/// immediately — the conjunction is false — while a yes triggers promotion
+/// of any verifiable conditional votes and decides `Commit` when the count
+/// completes; this must only be called when the outcome of every
+/// same-owner-set predecessor is known to the caller and reflected in the
+/// vote's base state, and supersedes this owner's own earlier conditional
+/// vote, never an unconditional one.  An unconditional-class task is
+/// decided by the vote that completes the count, yes or no.
 fn deposit_unconditional_vote(
     shared: &RuntimeShared,
-    task: &ExecTask,
-    sync: &mut ExecSync,
+    task: &MultiTask,
+    sync: &mut MultiSync,
     pos: usize,
     yes: bool,
     cx: &mut WorkerCtx,
-) -> Option<ExecDecision> {
-    if sync.decision.is_some() || matches!(sync.votes[pos], Vote::Yes) {
+) -> Option<Verdict> {
+    if sync.decision.is_some() || matches!(sync.votes[pos], Vote::Yes | Vote::No) {
         return None;
+    }
+    if coalesced_action(shared, task).is_none() {
+        sync.votes[pos] = if yes { Vote::Yes } else { Vote::No };
+        sync.yes_votes += usize::from(yes);
+        if sync.votes.iter().any(|v| matches!(v, Vote::Pending)) {
+            return None;
+        }
+        let decision = decide_unconditional(shared, task, sync, cx);
+        set_decision(task, sync, decision);
+        return Some(decision);
     }
     if yes {
         sync.votes[pos] = Vote::Yes;
@@ -4945,13 +4749,116 @@ fn deposit_unconditional_vote(
         sync.votes[pos] = Vote::Pending;
         shared.stats.denials.fetch_add(1, Ordering::Relaxed);
         meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-        if let Some(issuer) = sync.ticket.take() {
-            fulfil(issuer, Completion::Denied, cx);
-        }
-        cx.record(task.submitted);
-        set_exec_decision(task, sync, ExecDecision::Deny);
-        Some(ExecDecision::Deny)
+        settle(task, sync, Completion::Denied, cx);
+        set_decision(task, sync, Verdict::Done);
+        Some(Verdict::Done)
     }
+}
+
+/// Completes the task's ticket from this worker and records its queueing
+/// sample — exactly once per multi-owner task, whichever owner settles it.
+fn settle(task: &MultiTask, sync: &mut MultiSync, completion: Completion, cx: &mut WorkerCtx) {
+    if let Some(issuer) = sync.ticket.take() {
+        fulfil(issuer, completion, cx);
+    }
+    cx.record(task.submitted);
+}
+
+/// The verdict on a reservation op or read, reached by the last of its
+/// owners to vote.  Everything but a commit or a grant settles right here:
+/// the other owners only observe the verdict and move on.
+fn decide_unconditional(
+    shared: &RuntimeShared,
+    task: &MultiTask,
+    sync: &mut MultiSync,
+    cx: &mut WorkerCtx,
+) -> Verdict {
+    let all_yes = sync.yes_votes == task.owners.len();
+    let completion = match &task.op {
+        Op::Ask { action } if all_yes => {
+            shared.stats.grants.fetch_add(1, Ordering::Relaxed);
+            sync.reservation = Some(shared.new_reservation(task.client, action));
+            return Verdict::Reserve;
+        }
+        Op::Ask { .. } => {
+            shared.stats.denials.fetch_add(1, Ordering::Relaxed);
+            meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
+            Completion::Denied
+        }
+        Op::Confirm { id } => {
+            lock(&shared.reservation_index).remove(id);
+            match &sync.reservation {
+                None => Completion::Failed { error: ManagerError::UnknownReservation { id: *id } },
+                Some(reservation) if !all_yes => Completion::Failed {
+                    error: ManagerError::RejectedConfirmation {
+                        action: reservation.action.to_string(),
+                    },
+                },
+                Some(_) => {
+                    return Verdict::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) }
+                }
+            }
+        }
+        Op::Abort { id } => {
+            lock(&shared.reservation_index).remove(id);
+            match sync.reservation.clone() {
+                Some(reservation) => {
+                    shared.stats.aborted_reservations.fetch_add(1, Ordering::Relaxed);
+                    meta_event(shared, StatDelta { aborted: 1, ..StatDelta::ZERO });
+                    Completion::Aborted { reservation }
+                }
+                None => Completion::Failed { error: ManagerError::UnknownReservation { id: *id } },
+            }
+        }
+        Op::Expire { id, .. } => {
+            let reservation = sync.reservation.clone();
+            if reservation.is_some() {
+                lock(&shared.reservation_index).remove(id);
+                shared.stats.expired_reservations.fetch_add(1, Ordering::Relaxed);
+                meta_event(shared, StatDelta { expired: 1, ..StatDelta::ZERO });
+            }
+            Completion::Expired { reservation }
+        }
+        Op::Subscribe { action } => {
+            // Every other owner is parked at the rendezvous, so the bits are
+            // a consistent snapshot — the same guarantee the blocking
+            // manager gets from holding all owner locks while registering.
+            let bits: Vec<bool> = sync.votes.iter().map(|v| matches!(v, Vote::Yes)).collect();
+            let mut cross = lock(&shared.cross_subscriptions);
+            for &owner in &task.owners {
+                cross.by_shard.entry(owner).or_default().insert(action.clone());
+            }
+            let entry = cross.entries.entry(action.clone()).or_insert_with(|| {
+                shared.cross_entry_count.fetch_add(1, Ordering::Relaxed);
+                crate::manager::CrossEntry {
+                    owners: task.owners.clone(),
+                    bits,
+                    clients: Vec::new(),
+                    permitted: all_yes,
+                }
+            });
+            if !entry.clients.contains(&task.client) {
+                entry.clients.push(task.client);
+                entry.clients.sort_unstable();
+            }
+            let status = entry.permitted;
+            drop(cross);
+            if let Some(hub) = &shared.durability {
+                hub.log_meta(&WalRecord::Subscribe {
+                    client: task.client,
+                    action: action.clone(),
+                    permitted: status,
+                });
+            }
+            Completion::Subscribed { permitted: status }
+        }
+        Op::Query { .. } => Completion::Status { permitted: all_yes },
+        Op::Execute { .. } | Op::Unsubscribe { .. } => {
+            unreachable!("executes coalesce; unsubscribes never rendezvous")
+        }
+    };
+    settle(task, sync, completion, cx);
+    Verdict::Done
 }
 
 /// Deposits this owner's *conditional* yes vote (cascade mode only): the
@@ -4961,11 +4868,11 @@ fn deposit_unconditional_vote(
 /// probe and this lock acquisition.
 fn deposit_conditional_vote(
     shared: &RuntimeShared,
-    task: &ExecTask,
-    sync: &mut ExecSync,
+    task: &MultiTask,
+    sync: &mut MultiSync,
     pos: usize,
     tag: ValidityTag,
-) -> Option<ExecDecision> {
+) -> Option<Verdict> {
     if sync.decision.is_some() || matches!(sync.votes[pos], Vote::Yes) {
         return None;
     }
@@ -4980,7 +4887,7 @@ fn deposit_conditional_vote(
 /// undecided: its missing votes await a genuinely unresolved owner, not
 /// this commit.  Locks strictly forward along the chain, so it cannot
 /// deadlock with a voter holding an earlier task's lock.
-fn cascade_from(shared: &RuntimeShared, task: &Arc<ExecTask>) {
+fn cascade_from(shared: &RuntimeShared, task: &Arc<MultiTask>) {
     let mut cur = Arc::clone(task);
     loop {
         let next = lock(&cur.sync).cascade_next.clone();
@@ -4990,7 +4897,7 @@ fn cascade_from(shared: &RuntimeShared, task: &Arc<ExecTask>) {
             try_decide_exec(shared, &next, &mut sync)
         };
         match decision {
-            Some(ExecDecision::Commit { .. }) => cur = next,
+            Some(Verdict::Commit { .. }) => cur = next,
             _ => break,
         }
     }
@@ -5002,7 +4909,7 @@ fn cascade_from(shared: &RuntimeShared, task: &Arc<ExecTask>) {
 /// verify again — but eager clearing spares every later decide attempt the
 /// doomed verification, and the voters re-deposit from the recomputed true
 /// state when their in-order resolution passes reach the tasks.
-fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<ExecTask>) {
+fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<MultiTask>) {
     let denied_ptr = Arc::as_ptr(denied);
     let mut cur = Arc::clone(denied);
     loop {
@@ -5033,75 +4940,231 @@ fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<ExecTask>) {
 /// Cascades or invalidates along the chain links for every decision the
 /// caller made while holding a task's rendezvous lock.  Must be called with
 /// no rendezvous lock held — the walks lock forward along the chain.
-fn propagate_decisions(shared: &RuntimeShared, decided: &mut Vec<(Arc<ExecTask>, ExecDecision)>) {
+fn propagate_decisions(shared: &RuntimeShared, decided: &mut Vec<(Arc<MultiTask>, Verdict)>) {
     for (task, decision) in decided.drain(..) {
         if !shared.cascade {
             continue;
         }
         match decision {
-            ExecDecision::Commit { .. } => cascade_from(shared, &task),
-            ExecDecision::Deny => invalidate_downstream(shared, &task),
+            Verdict::Commit { .. } => cascade_from(shared, &task),
+            Verdict::Done => invalidate_downstream(shared, &task),
+            Verdict::Reserve => {}
         }
     }
 }
 
-/// Applies a commit decision on this owner and, as the last applier, merges
-/// the notifications, counts the stats and fulfils the ticket — the same
-/// bookkeeping as the blocking manager's per-commit path.
-fn apply_exec_commit(
+/// Waits for the verdict on `task` — the one rendezvous wait.  Before the
+/// first wait it delivers the banked wakeups and propagates this owner's
+/// fresh decisions, so no client sleeps and no chain stalls on them.  Then
+/// it helps while waiting: the co-owner whose vote is missing may be queued
+/// behind another shard this same worker owns — with fewer workers than
+/// shards, parking unconditionally would deadlock the rendezvous — so it
+/// serves one such task per round and parks briefly only when nothing
+/// helps (a vote deposit wakes the barrier immediately; the timeout bounds
+/// how long fresh enqueues on sibling shards can go unnoticed).
+fn await_verdict(
+    shared: &Arc<RuntimeShared>,
+    task: &MultiTask,
+    help: &Help<'_>,
+    cx: &mut WorkerCtx,
+    decided: &mut Vec<(Arc<MultiTask>, Verdict)>,
+) -> Verdict {
+    let mut flushed = false;
+    let mut sync = lock(&task.sync);
+    loop {
+        if let Some(decision) = sync.decision {
+            return decision;
+        }
+        drop(sync);
+        if !flushed {
+            flushed = true;
+            cx.flush(shared);
+            propagate_decisions(shared, decided);
+            sync = lock(&task.sync);
+            continue;
+        }
+        let helped = help_one(shared, help, cx, task.seq);
+        sync = lock(&task.sync);
+        if sync.decision.is_none() && !helped {
+            drop(sync);
+            cx.flush(shared);
+            sync = lock(&task.sync);
+            if sync.decision.is_none() {
+                sync =
+                    task.barrier.wait_timeout(sync, HELP_PARK).unwrap_or_else(|e| e.into_inner()).0;
+            }
+        }
+    }
+}
+
+/// Applies a commit or grant on this owner and, as the last applier, does
+/// the central bookkeeping — merges the notifications and counts the stats
+/// of a commit (the blocking manager's per-commit path), or indexes and
+/// arms a granted reservation — and settles the ticket.  `Done` has nothing
+/// to apply.
+fn apply_verdict(
     shared: &RuntimeShared,
     st: &mut ShardState,
-    task: &ExecTask,
+    task: &MultiTask,
     pos: usize,
-    seq: u64,
-    next: StateRef,
+    verdict: Verdict,
+    prepared: Option<StateRef>,
     cx: &mut WorkerCtx,
 ) {
-    st.engine.commit_prepared(next);
-    st.epoch = seq;
-    let engine = &st.engine;
-    let local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
-    let bits = cross_bits_for_shard(shared, st);
-    if pos == 0 {
-        st.log.push(((seq, 0, 0), task.action.clone()));
+    let mut local_notes = Vec::new();
+    let mut bits = Vec::new();
+    match verdict {
+        Verdict::Done => return,
+        Verdict::Commit { seq } => {
+            st.engine.commit_prepared(prepared.expect("commit requires every owner's prepare"));
+            st.epoch = seq;
+            let engine = &st.engine;
+            local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
+            bits = cross_bits_for_shard(shared, st);
+            let (action, delta) = match task.op.action() {
+                Some(action) => (
+                    action.clone(),
+                    StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO },
+                ),
+                None => {
+                    let sync = lock(&task.sync);
+                    let reservation = sync.reservation.as_ref().expect("a confirm commits");
+                    (reservation.action.clone(), StatDelta { confirmations: 1, ..StatDelta::ZERO })
+                }
+            };
+            // Every owner echoes the commit into its own stream
+            // (self-contained per-shard recovery); the statistics ride on
+            // the primary's record, the nondeterministically-attributed
+            // notification count on a meta event.
+            st.journal_commit(
+                (seq, 0, 0),
+                &action,
+                pos == 0,
+                if pos == 0 { delta } else { StatDelta::ZERO },
+            );
+            if pos == 0 {
+                st.log.push(((seq, 0, 0), action));
+            }
+        }
+        Verdict::Reserve => {
+            let reservation =
+                lock(&task.sync).reservation.clone().expect("a grant carries its reservation");
+            st.journal_reserve(
+                &reservation,
+                if pos == 0 {
+                    StatDelta { asks: 1, grants: 1, ..StatDelta::ZERO }
+                } else {
+                    StatDelta::ZERO
+                },
+            );
+            st.reservations.insert(reservation.id, reservation);
+            publish_reservation_fp(shared, st);
+        }
     }
-    // Every owner echoes the commit into its own stream (self-contained
-    // per-shard recovery); the statistics ride on the primary's record, the
-    // nondeterministically-attributed notification count on a meta event.
-    st.journal_commit(
-        (seq, 0, 0),
-        &task.action,
-        pos == 0,
-        if pos == 0 {
-            StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO }
-        } else {
-            StatDelta::ZERO
-        },
-    );
     let mut sync = lock(&task.sync);
     if !local_notes.is_empty() {
         sync.notes.push((pos, local_notes));
     }
     sync.cross_bits.extend(bits);
     sync.applied += 1;
-    if sync.applied == task.owners.len() {
+    if sync.applied < task.owners.len() {
+        return;
+    }
+    let completion = if verdict == Verdict::Reserve {
+        let reservation = sync.reservation.clone().expect("a grant carries its reservation");
+        lock(&shared.reservation_index).insert(reservation.id, task.owners.clone());
+        if reservation.expires_at != u64::MAX {
+            lock(&shared.timers).schedule(
+                reservation.expires_at,
+                TimerEvent::Expiry(ExpiryEvent { id: reservation.id, owners: task.owners.clone() }),
+            );
+        }
+        Completion::Granted { reservation: reservation.id }
+    } else {
         sync.notes.sort_by_key(|(owner_pos, _)| *owner_pos);
         let mut notes: Vec<Notification> = sync.notes.drain(..).flat_map(|(_, n)| n).collect();
         notes.extend(merge_cross_bits(shared, &sync.cross_bits));
         shared.stats.confirmations.fetch_add(1, Ordering::Relaxed);
-        shared.stats.grants.fetch_add(1, Ordering::Relaxed);
+        if !matches!(task.op, Op::Confirm { .. }) {
+            shared.stats.grants.fetch_add(1, Ordering::Relaxed);
+        }
         shared.stats.notifications.fetch_add(notes.len() as u64, Ordering::Relaxed);
         meta_event(shared, StatDelta { notifications: notes.len() as u64, ..StatDelta::ZERO });
         deliver(shared, &notes);
-        if let Some(issuer) = sync.ticket.take() {
-            fulfil(issuer, Completion::Executed { notifications: notes }, cx);
+        match task.op {
+            Op::Execute { .. } => Completion::Executed { notifications: notes },
+            Op::Ask { .. } => Completion::Granted { reservation: 0 },
+            _ => Completion::Confirmed { notifications: notes },
         }
-        cx.record(task.submitted);
+    };
+    settle(task, &mut sync, completion, cx);
+}
+
+/// One owner's vote on a reservation op or read, cast on the true shard
+/// state.  A confirm, abort or expiry releases this owner's copy of the
+/// reservation whatever the verdict (returned for the decider), and a
+/// confirm prepares the commit; a reserving ask probes against the
+/// outstanding reservations; a read votes its status bit.
+fn unconditional_vote(
+    shared: &RuntimeShared,
+    st: &mut ShardState,
+    op: &Op,
+) -> (bool, Option<StateRef>, Option<Reservation>) {
+    fn release(shared: &RuntimeShared, st: &mut ShardState, id: u64) -> Option<Reservation> {
+        let released = st.reservations.remove(&id);
+        if released.is_some() {
+            publish_reservation_fp(shared, st);
+            st.journal_release(id, StatDelta::ZERO);
+        }
+        released
+    }
+    match op {
+        Op::Ask { action } => (st.permitted_considering_reservations(action), None, None),
+        Op::Confirm { id } => {
+            let released = release(shared, st, *id);
+            let prepared = released.as_ref().and_then(|r| st.engine.prepare(&r.action));
+            (prepared.is_some(), prepared, released)
+        }
+        Op::Abort { id } => (true, None, release(shared, st, *id)),
+        Op::Expire { id, now } => {
+            let due = st.reservations.get(id).is_some_and(|r| r.expires_at <= *now);
+            (true, None, if due { release(shared, st, *id) } else { None })
+        }
+        Op::Subscribe { action } | Op::Query { action } => {
+            (st.engine.is_permitted(action), None, None)
+        }
+        Op::Execute { .. } | Op::Unsubscribe { .. } => {
+            unreachable!("executes coalesce; unsubscribes never rendezvous")
+        }
     }
 }
 
-/// One speculative batch: a consecutive queue run of multi-owner executes of
-/// a single owner set plus the single-owner executes interleaved between
+/// Processes one unconditional-class multi-owner task on this owner: vote
+/// on the true shard state, wait for the verdict, apply it.
+fn process_multi(
+    shared: &Arc<RuntimeShared>,
+    st: &mut ShardState,
+    task: Arc<MultiTask>,
+    help: &Help<'_>,
+    cx: &mut WorkerCtx,
+) {
+    let pos = task.owners.iter().position(|&o| o == st.id).expect("routed to a non-owner shard");
+    let (yes, prepared, released) = unconditional_vote(shared, st, &task.op);
+    {
+        let mut sync = lock(&task.sync);
+        if sync.reservation.is_none() {
+            sync.reservation = released;
+        }
+        // Unconditional tasks never join a cascade chain: their decisions
+        // have nothing to propagate.
+        deposit_unconditional_vote(shared, &task, &mut sync, pos, yes, cx);
+    }
+    let verdict = await_verdict(shared, &task, help, cx, &mut Vec::new());
+    apply_verdict(shared, st, &task, pos, verdict, prepared, cx);
+}
+
+/// One speculative batch: a consecutive queue run of coalesced multi-owner
+/// tasks of a single owner set plus the single-owner executes interleaved between
 /// them, in queue order.
 struct Batch {
     owners: Vec<usize>,
@@ -5113,23 +5176,25 @@ struct Batch {
 }
 
 enum BatchKind {
-    /// A multi-owner execute (rendezvous task).
-    Exec(Arc<ExecTask>),
+    /// A coalesced multi-owner task (rendezvous task).
+    Exec(Arc<MultiTask>),
     /// A single-owner execute; the issuer is taken when the item resolves.
     Local(Option<TicketIssuer<Completion>>),
 }
 
 impl Batch {
-    fn new(first: Arc<ExecTask>) -> Batch {
-        Batch {
+    fn new(shared: &RuntimeShared, first: Arc<MultiTask>) -> Batch {
+        let mut batch = Batch {
             owners: first.owners.clone(),
-            actions: vec![first.action.clone()],
-            submitted: vec![first.submitted],
-            kinds: vec![BatchKind::Exec(first)],
-        }
+            actions: Vec::new(),
+            kinds: Vec::new(),
+            submitted: Vec::new(),
+        };
+        batch.push_exec(shared, first);
+        batch
     }
 
-    fn push_exec(&mut self, shared: &RuntimeShared, task: Arc<ExecTask>) {
+    fn push_exec(&mut self, shared: &RuntimeShared, task: Arc<MultiTask>) {
         if shared.cascade {
             // Link the queue-order predecessor to this task.  Every owner
             // coalesces the identical queue run (enqueue order = lock
@@ -5145,7 +5210,7 @@ impl Batch {
                 }
             }
         }
-        self.actions.push(task.action.clone());
+        self.actions.push(coalesced_action(shared, &task).expect("coalesced task").clone());
         self.submitted.push(task.submitted);
         self.kinds.push(BatchKind::Exec(task));
     }
@@ -5197,7 +5262,7 @@ enum Spec {
 /// lock is held).
 struct SpecPass {
     specs: Vec<Spec>,
-    decided: Vec<(Arc<ExecTask>, ExecDecision)>,
+    decided: Vec<(Arc<MultiTask>, Verdict)>,
 }
 
 fn compute_specs(
@@ -5236,10 +5301,10 @@ fn compute_specs(
                 {
                     let mut sync = lock(&task.sync);
                     match sync.decision {
-                        Some(ExecDecision::Deny) => {
+                        Some(Verdict::Done | Verdict::Reserve) => {
                             // Outcome already known: the chain skips it.
                         }
-                        Some(ExecDecision::Commit { .. }) => {
+                        Some(Verdict::Commit { .. }) => {
                             // A commit requires this shard's vote, which is
                             // deposited at most once per task — so a commit
                             // observed here carries our earlier yes, and
@@ -5279,13 +5344,13 @@ fn compute_specs(
                                 }
                             }
                             match (&sync.decision, &next) {
-                                (Some(ExecDecision::Commit { .. }), Some(nx)) => {
+                                (Some(Verdict::Commit { .. }), Some(nx)) => {
                                     // Our yes completed the commit (possibly
                                     // by promoting the other owners' tagged
                                     // votes): outcome known, chain advances.
                                     chain = Some(nx.clone());
                                 }
-                                (Some(ExecDecision::Deny), _) | (_, None) => {
+                                (Some(Verdict::Done | Verdict::Reserve), _) | (_, None) => {
                                     // Insta-denied by our no, or a (possibly
                                     // conditional) no vote: the chain skips
                                     // it either way.  (A commit can never
@@ -5336,7 +5401,7 @@ fn process_batch(
         .owners
         .iter()
         .position(|&o| o == st.id)
-        .expect("exec task routed to a non-owner shard");
+        .expect("multi-owner task routed to a non-owner shard");
 
     // ---- Speculative pass: one chain over the whole batch. ----
     let mut pass = SpecPass {
@@ -5387,7 +5452,7 @@ fn process_batch(
                     unreachable!("vote spec on a local item");
                 };
                 let task = Arc::clone(task);
-                let decision = {
+                {
                     let mut sync = lock(&task.sync);
                     // Reaching this item in order means every predecessor's
                     // outcome is known and reflected in `specs`: the vote is
@@ -5403,59 +5468,15 @@ fn process_batch(
                     ) {
                         pass.decided.push((Arc::clone(&task), decision));
                     }
-                    let mut flushed = false;
-                    loop {
-                        if let Some(decision) = sync.decision {
-                            break decision;
-                        }
-                        if !flushed {
-                            // About to wait at the rendezvous: deliver the
-                            // banked wakeups first so no client sleeps
-                            // through the wait, and propagate our own fresh
-                            // decisions so no chain stalls on them.
-                            flushed = true;
-                            drop(sync);
-                            cx.flush(shared);
-                            propagate_decisions(shared, &mut pass.decided);
-                            sync = lock(&task.sync);
-                            continue;
-                        }
-                        // Help-while-waiting: the co-owner whose vote we
-                        // need may be queued behind another shard this same
-                        // worker owns.  Serve one such task; park briefly
-                        // only when nothing helps.
-                        drop(sync);
-                        let helped = help_one(shared, help, cx, task.seq);
-                        sync = lock(&task.sync);
-                        if sync.decision.is_none() && !helped {
-                            drop(sync);
-                            cx.flush(shared);
-                            sync = lock(&task.sync);
-                            if sync.decision.is_none() {
-                                sync = task
-                                    .barrier
-                                    .wait_timeout(sync, HELP_PARK)
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .0;
-                            }
-                        }
-                    }
-                };
-                propagate_decisions(shared, &mut pass.decided);
-                match decision {
-                    ExecDecision::Commit { seq } => {
-                        let next = prepared
-                            .expect("commit requires this shard's yes vote and its prepare");
-                        apply_exec_commit(shared, st, &task, pos, seq, next, cx);
-                    }
-                    ExecDecision::Deny => {
-                        if assumed {
-                            // The chain assumed this commit; the tail must
-                            // be recomputed against the true state.
-                            valid = false;
-                        }
-                    }
                 }
+                let verdict = await_verdict(shared, &task, help, cx, &mut pass.decided);
+                propagate_decisions(shared, &mut pass.decided);
+                if verdict == Verdict::Done && assumed {
+                    // The chain assumed this commit; the tail must be
+                    // recomputed against the true state.
+                    valid = false;
+                }
+                apply_verdict(shared, st, &task, pos, verdict, prepared, cx);
             }
             Spec::Done => unreachable!("batch items resolve exactly once"),
         }
@@ -5637,340 +5658,6 @@ fn install_commit(
     shared.stats.notifications.fetch_add(notes.len() as u64, Ordering::Relaxed);
     deliver(shared, &notes);
     notes
-}
-
-fn process_cross(
-    shared: &Arc<RuntimeShared>,
-    st: &mut ShardState,
-    task: &CrossTask,
-    help: &Help<'_>,
-    cx: &mut WorkerCtx,
-) {
-    let pos = task
-        .owners
-        .iter()
-        .position(|&o| o == st.id)
-        .expect("cross task routed to a non-owner shard");
-    let n = task.owners.len();
-
-    // ---- Phase 1: the local vote. ----
-    let mut prepared: Option<StateRef> = None;
-    let mut vote = true;
-    let mut removed_here: Option<Reservation> = None;
-    let mut bit = false;
-    match &task.op {
-        CrossOp::Ask { action, .. } => {
-            if matches!(shared.variant, ProtocolVariant::Combined) {
-                vote = st.reservations.is_empty() || st.permitted_considering_reservations(action);
-                if vote {
-                    prepared = st.engine.prepare(action);
-                    vote = prepared.is_some();
-                }
-            } else {
-                vote = st.permitted_considering_reservations(action);
-            }
-        }
-        CrossOp::Confirm { id } => {
-            removed_here = st.reservations.remove(id);
-            if removed_here.is_some() {
-                publish_reservation_fp(shared, st);
-                st.journal_release(*id, StatDelta::ZERO);
-            }
-            vote = match &removed_here {
-                Some(reservation) => {
-                    prepared = st.engine.prepare(&reservation.action);
-                    prepared.is_some()
-                }
-                None => false,
-            };
-        }
-        CrossOp::Abort { id } => {
-            removed_here = st.reservations.remove(id);
-            if removed_here.is_some() {
-                publish_reservation_fp(shared, st);
-                st.journal_release(*id, StatDelta::ZERO);
-            }
-        }
-        CrossOp::Expire { id, now } => {
-            if st.reservations.get(id).is_some_and(|r| r.expires_at <= *now) {
-                removed_here = st.reservations.remove(id);
-                publish_reservation_fp(shared, st);
-                st.journal_release(*id, StatDelta::ZERO);
-            }
-        }
-        CrossOp::Subscribe { action, .. } | CrossOp::Query { action } => {
-            bit = st.engine.is_permitted(action);
-        }
-    }
-
-    // ---- Rendezvous: deposit the vote; the last voter decides.  While any
-    // owner is parked here its engine cannot move — the rendezvous is the
-    // queue-based equivalent of holding all owner locks. ----
-    let decision = {
-        let mut sync = lock(&task.sync);
-        sync.votes += 1;
-        sync.ok &= vote;
-        if let Some(reservation) = &removed_here {
-            sync.any_reservation = true;
-            if sync.removed.is_none() {
-                sync.removed = Some(reservation.clone());
-            }
-        }
-        sync.bits[pos] = bit;
-        if sync.votes == n {
-            let decision = decide(shared, task, &mut sync);
-            sync.decision = Some(decision);
-            task.barrier.notify_all();
-            decision
-        } else {
-            // Help-while-waiting: a co-owner's vote may be queued behind
-            // another shard this same worker owns — with fewer workers than
-            // shards, parking unconditionally here would deadlock the
-            // rendezvous.  Serve one task from an owned sibling shard per
-            // round; park briefly only when nothing helps (a vote deposit
-            // wakes the barrier immediately, the timeout just bounds how
-            // long we can miss fresh enqueues on sibling shards).
-            while sync.decision.is_none() {
-                drop(sync);
-                let helped = help_one(shared, help, cx, task.seq);
-                sync = lock(&task.sync);
-                if sync.decision.is_none() && !helped {
-                    drop(sync);
-                    cx.flush(shared);
-                    sync = lock(&task.sync);
-                    if sync.decision.is_none() {
-                        sync = task
-                            .barrier
-                            .wait_timeout(sync, HELP_PARK)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
-            sync.decision.expect("checked above")
-        }
-    };
-
-    // ---- Phase 2: apply.  Only commit/reserve decisions have local work;
-    // the decider already finished everything else. ----
-    match decision {
-        Decision::Commit { seq } => {
-            let next = prepared.expect("commit decided only when every owner prepared");
-            st.engine.commit_prepared(next);
-            st.epoch = seq;
-            let engine = &st.engine;
-            let local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
-            let bits = cross_bits_for_shard(shared, st);
-            if pos == 0 || st.wal.is_some() {
-                let action = match &task.op {
-                    CrossOp::Ask { action, .. } => action.clone(),
-                    CrossOp::Confirm { .. } => removed_here
-                        .as_ref()
-                        .expect("confirm committed, so every owner held the reservation")
-                        .action
-                        .clone(),
-                    _ => unreachable!("only ask/confirm commit"),
-                };
-                // The statistics of the decision ride on the primary's echo
-                // record; the other owners journal a zero-delta echo so
-                // their streams replay standalone.
-                st.journal_commit(
-                    (seq, 0, 0),
-                    &action,
-                    pos == 0,
-                    match (&task.op, pos) {
-                        (CrossOp::Ask { .. }, 0) => {
-                            StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO }
-                        }
-                        (_, 0) => StatDelta { confirmations: 1, ..StatDelta::ZERO },
-                        _ => StatDelta::ZERO,
-                    },
-                );
-                if pos == 0 {
-                    st.log.push(((seq, 0, 0), action));
-                }
-            }
-            let mut sync = lock(&task.sync);
-            sync.notes[pos] = local_notes;
-            sync.cross_bits.extend(bits);
-            sync.applied += 1;
-            if sync.applied == n {
-                finish_commit(shared, task, &mut sync);
-            }
-        }
-        Decision::Reserve => {
-            let reservation =
-                lock(&task.sync).granted.clone().expect("reserve decided with a reservation");
-            st.journal_reserve(
-                &reservation,
-                if pos == 0 {
-                    StatDelta { asks: 1, grants: 1, ..StatDelta::ZERO }
-                } else {
-                    StatDelta::ZERO
-                },
-            );
-            st.reservations.insert(reservation.id, reservation);
-            publish_reservation_fp(shared, st);
-            let mut sync = lock(&task.sync);
-            sync.applied += 1;
-            if sync.applied == n {
-                finish_reserve(shared, task, &mut sync);
-            }
-        }
-        Decision::Deny
-        | Decision::Unknown
-        | Decision::Rejected
-        | Decision::Released
-        | Decision::Done => {}
-    }
-}
-
-/// The last voter's verdict.  Non-commit outcomes are finished right here —
-/// the other owners only need to observe the decision and move on.
-fn decide(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync) -> Decision {
-    let complete = |sync: &mut CrossSync, completion: Completion| {
-        if let Some(issuer) = sync.ticket.take() {
-            issuer.complete(completion);
-        }
-    };
-    match &task.op {
-        CrossOp::Ask { client, action } => {
-            if !sync.ok {
-                shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-                complete(sync, Completion::Denied);
-                Decision::Deny
-            } else if matches!(shared.variant, ProtocolVariant::Combined) {
-                Decision::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) }
-            } else {
-                shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-                sync.granted = Some(shared.new_reservation(*client, action));
-                Decision::Reserve
-            }
-        }
-        CrossOp::Confirm { id } => {
-            lock(&shared.reservation_index).remove(id);
-            if !sync.any_reservation {
-                complete(
-                    sync,
-                    Completion::Failed { error: ManagerError::UnknownReservation { id: *id } },
-                );
-                Decision::Unknown
-            } else if !sync.ok {
-                let action =
-                    sync.removed.as_ref().map(|r| r.action.to_string()).unwrap_or_default();
-                complete(
-                    sync,
-                    Completion::Failed { error: ManagerError::RejectedConfirmation { action } },
-                );
-                Decision::Rejected
-            } else {
-                Decision::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) }
-            }
-        }
-        CrossOp::Abort { id } => {
-            lock(&shared.reservation_index).remove(id);
-            match sync.removed.clone() {
-                Some(reservation) => {
-                    shared.stats.aborted_reservations.fetch_add(1, Ordering::Relaxed);
-                    meta_event(shared, StatDelta { aborted: 1, ..StatDelta::ZERO });
-                    complete(sync, Completion::Aborted { reservation });
-                }
-                None => complete(
-                    sync,
-                    Completion::Failed { error: ManagerError::UnknownReservation { id: *id } },
-                ),
-            }
-            Decision::Released
-        }
-        CrossOp::Expire { id, .. } => {
-            let reservation = sync.removed.clone();
-            if reservation.is_some() {
-                lock(&shared.reservation_index).remove(id);
-                shared.stats.expired_reservations.fetch_add(1, Ordering::Relaxed);
-                meta_event(shared, StatDelta { expired: 1, ..StatDelta::ZERO });
-            }
-            complete(sync, Completion::Expired { reservation });
-            Decision::Released
-        }
-        CrossOp::Subscribe { client, action } => {
-            // Every other owner is parked at the rendezvous, so the bits are
-            // a consistent snapshot — the same guarantee the blocking
-            // manager gets from holding all owner locks while registering.
-            let permitted = sync.bits.iter().all(|b| *b);
-            let mut cross = lock(&shared.cross_subscriptions);
-            for &owner in &task.owners {
-                cross.by_shard.entry(owner).or_default().insert(action.clone());
-            }
-            let entry = cross.entries.entry(action.clone()).or_insert_with(|| {
-                shared.cross_entry_count.fetch_add(1, Ordering::Relaxed);
-                crate::manager::CrossEntry {
-                    owners: task.owners.clone(),
-                    bits: sync.bits.clone(),
-                    clients: Vec::new(),
-                    permitted,
-                }
-            });
-            if !entry.clients.contains(client) {
-                entry.clients.push(*client);
-                entry.clients.sort_unstable();
-            }
-            let status = entry.permitted;
-            drop(cross);
-            if let Some(hub) = &shared.durability {
-                hub.log_meta(&WalRecord::Subscribe {
-                    client: *client,
-                    action: action.clone(),
-                    permitted: status,
-                });
-            }
-            complete(sync, Completion::Subscribed { permitted: status });
-            Decision::Done
-        }
-        CrossOp::Query { .. } => {
-            let permitted = sync.bits.iter().all(|b| *b);
-            complete(sync, Completion::Status { permitted });
-            Decision::Done
-        }
-    }
-}
-
-/// Central bookkeeping after every owner applied a commit: merge the
-/// cross-subscription bits, count the stats, deliver the notifications, and
-/// fulfil the ticket.
-fn finish_commit(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync) {
-    let mut notes: Vec<Notification> = sync.notes.iter_mut().flat_map(std::mem::take).collect();
-    notes.extend(merge_cross_bits(shared, &sync.cross_bits));
-    shared.stats.confirmations.fetch_add(1, Ordering::Relaxed);
-    if matches!(task.op, CrossOp::Ask { .. }) {
-        shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.stats.notifications.fetch_add(notes.len() as u64, Ordering::Relaxed);
-    meta_event(shared, StatDelta { notifications: notes.len() as u64, ..StatDelta::ZERO });
-    deliver(shared, &notes);
-    if let Some(issuer) = sync.ticket.take() {
-        let completion = match &task.op {
-            CrossOp::Ask { .. } => Completion::Granted { reservation: 0 },
-            CrossOp::Confirm { .. } => Completion::Confirmed { notifications: notes },
-            _ => unreachable!("only ask/confirm commit"),
-        };
-        issuer.complete(completion);
-    }
-}
-
-/// Central bookkeeping after every owner replicated a granted reservation.
-fn finish_reserve(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync) {
-    let reservation = sync.granted.clone().expect("reserve decided with a reservation");
-    lock(&shared.reservation_index).insert(reservation.id, task.owners.clone());
-    if reservation.expires_at != u64::MAX {
-        lock(&shared.timers).schedule(
-            reservation.expires_at,
-            TimerEvent::Expiry(ExpiryEvent { id: reservation.id, owners: task.owners.clone() }),
-        );
-    }
-    if let Some(issuer) = sync.ticket.take() {
-        issuer.complete(Completion::Granted { reservation: reservation.id });
-    }
 }
 
 /// The refreshed (action, shard, permitted) bits for every cross-subscribed
@@ -6839,5 +6526,29 @@ mod tests {
         assert_eq!(expired[0].id, 70);
         assert_eq!(expired[0].action, audit());
         recovered.shutdown().unwrap();
+    }
+
+    #[test]
+    fn multi_owner_reservation_ops_and_probes_record_queue_samples() {
+        let options = RuntimeOptions {
+            variant: ProtocolVariant::Simple,
+            queue_metrics: true,
+            ..RuntimeOptions::default()
+        };
+        let runtime = ManagerRuntime::with_options(&coupled_constraint(), options).unwrap();
+        let session = runtime.session(1);
+        assert!(runtime.is_cross_shard(&audit()));
+        assert!(session.is_permitted_blocking(&audit()));
+        let id = session.ask_blocking(&audit()).unwrap().expect("audit is granted");
+        session.abort_blocking(id).unwrap();
+        // Workers publish their samples when they go idle, so poll.
+        let completed = 3;
+        let mut samples = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while samples < completed && Instant::now() < deadline {
+            samples += runtime.drain_queue_samples().len();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(samples, completed, "one queueing sample per completed multi-owner task");
     }
 }
