@@ -5021,15 +5021,16 @@ fn apply_verdict(
             let engine = &st.engine;
             local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
             bits = cross_bits_for_shard(shared, st);
+            let confirmed;
             let (action, delta) = match task.op.action() {
-                Some(action) => (
-                    action.clone(),
-                    StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO },
-                ),
+                Some(action) => {
+                    (action, StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO })
+                }
                 None => {
                     let sync = lock(&task.sync);
-                    let reservation = sync.reservation.as_ref().expect("a confirm commits");
-                    (reservation.action.clone(), StatDelta { confirmations: 1, ..StatDelta::ZERO })
+                    confirmed =
+                        sync.reservation.as_ref().expect("a confirm commits").action.clone();
+                    (&confirmed, StatDelta { confirmations: 1, ..StatDelta::ZERO })
                 }
             };
             // Every owner echoes the commit into its own stream
@@ -5038,12 +5039,12 @@ fn apply_verdict(
             // notification count on a meta event.
             st.journal_commit(
                 (seq, 0, 0),
-                &action,
+                action,
                 pos == 0,
                 if pos == 0 { delta } else { StatDelta::ZERO },
             );
             if pos == 0 {
-                st.log.push(((seq, 0, 0), action));
+                st.log.push(((seq, 0, 0), action.clone()));
             }
         }
         Verdict::Reserve => {
@@ -5918,6 +5919,23 @@ mod tests {
             session.confirm_blocking(r),
             Err(ManagerError::UnknownReservation { .. })
         ));
+    }
+
+    #[test]
+    fn concurrent_sessions_race_for_a_single_slot() {
+        // Capacity one: of four concurrent sessions exactly one wins.
+        let expr = parse("mult 1 { (some p { call(p, sono) - perform(p, sono) })* }").unwrap();
+        let runtime = ManagerRuntime::with_protocol(&expr, ProtocolVariant::Combined).unwrap();
+        let handles: Vec<_> = (0..4u64)
+            .map(|client| {
+                let session = runtime.session(client);
+                std::thread::spawn(move || {
+                    session.execute_blocking(&call(client as i64, "sono")).unwrap().is_some()
+                })
+            })
+            .collect();
+        let wins = handles.into_iter().map(|h| h.join().unwrap()).filter(|won| *won).count();
+        assert_eq!(wins, 1, "exactly one session gets the slot");
     }
 
     #[test]
