@@ -121,8 +121,9 @@ pub struct RuntimeOptions {
     /// blocking manager) decide identically.
     pub cascade: bool,
     /// Record a queueing-delay sample per completed task — the time it
-    /// waited in its shard queue vs the time the worker spent serving it.  Drained via [`ManagerRuntime::drain_queue_samples`]; off by
-    /// default (each sample costs two clock reads on the worker).
+    /// waited in its shard queue vs the time the worker spent serving it.
+    /// Drained via [`ManagerRuntime::drain_queue_samples`]; off by default
+    /// (each sample costs two clock reads on the worker).
     pub queue_metrics: bool,
     /// Fsync policy of the file-backed vault opened by
     /// [`ManagerRuntime::with_durability_path`] (ignored when the vault is
@@ -1306,7 +1307,8 @@ struct MultiTask {
     barrier: Condvar,
 }
 
-/// `MultiTask::decided` values.
+/// `MultiTask::decided` values (`EXEC_DENIED` stands for every verdict but
+/// a commit — only commits matter to tag verification).
 const EXEC_UNDECIDED: u8 = 0;
 const EXEC_COMMITTED: u8 = 1;
 const EXEC_DENIED: u8 = 2;
