@@ -587,11 +587,29 @@ fn async_runtime() {
           {cases_per_thread} cases per client, submission window {window}; runtime latency \
           includes queueing delay; enqueue_wait/service split the worker-side cost: time a \
           task sat in its shard queue vs time the worker spent deciding and applying it\",\n  \
+          \"cores\": {},\n  \"commit\": \"{}\",\n  \
           \"async\": [\n{}\n  ]\n}}\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        source_commit(),
         rows.join(",\n"),
     );
     std::fs::write("BENCH_async.json", &json).expect("write BENCH_async.json");
     println!("\nwrote BENCH_async.json");
+}
+
+/// The commit the measured code was built from (`git describe --always
+/// --dirty`, so uncommitted changes show as a `-dirty` suffix), or
+/// `unknown` outside a git checkout.
+fn source_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        )
 }
 
 /// The commit-chain experiment: conditional-vote cascading on vs off vs the
@@ -1683,7 +1701,10 @@ fn read_validated_report(path: &str, required_keys: &[&str]) -> String {
 }
 
 fn check_async_report(path: &str) {
-    let text = read_validated_report(path, &["\"experiment\"", "\"async\"", "\"runtime_p99_us\""]);
+    let text = read_validated_report(
+        path,
+        &["\"experiment\"", "\"cores\"", "\"commit\"", "\"async\"", "\"runtime_p99_us\""],
+    );
     let mut contended = 0usize;
     let mut overlapped = 0usize;
     for row in text.split('{') {

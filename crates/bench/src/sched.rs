@@ -13,6 +13,7 @@
 
 use ix_core::{parse, Action, Expr, Value};
 use ix_manager::{Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions, Ticket};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,23 +139,39 @@ fn options(workers: usize, rebalance: bool) -> RuntimeOptions {
     }
 }
 
-/// Runs one configuration: `sessions` paced flooder threads offer `total`
-/// work items with the given shard distribution, then every ticket is
-/// awaited (no shedding — this bench measures scheduling, not admission).
-/// Returns the measured point.
+/// How many work items one scheduling run offers.
+#[derive(Clone, Copy, Debug)]
+pub enum Offers {
+    /// Exactly this many across the sessions; every ticket is awaited
+    /// after the last offer.
+    Total(u64),
+    /// Until the rebalancer has isolated a shard or the deadline passes, so
+    /// the skew lasts as long as the rebalancer needs on any host.  A
+    /// session awaits its oldest ticket once [`UNTIL_IN_FLIGHT`] are
+    /// outstanding, which bounds memory however long the run lasts.
+    UntilRebalanced(Duration),
+}
+
+/// Tickets a session keeps outstanding in an [`Offers::UntilRebalanced`]
+/// run — enough to keep the hot shard's queue deep between offers.
+const UNTIL_IN_FLIGHT: usize = 4096;
+
+/// Runs one configuration: `sessions` paced flooder threads offer work
+/// items with the given shard distribution, as many as `offers` says, and
+/// every ticket is awaited (no shedding — this bench measures scheduling,
+/// not admission).  Returns the measured point.
 pub fn sched_point(
     shards: usize,
     shape: LoadShape,
     workers: usize,
     rebalance: bool,
-    total: u64,
+    offers: Offers,
 ) -> SchedPoint {
     let expr = pools_constraint(shards);
     let runtime = Arc::new(
         ManagerRuntime::with_options(&expr, options(workers, rebalance)).expect("sched runtime"),
     );
     let sessions = 2usize;
-    let per_session = total / sessions as u64;
     let offered = Arc::new(AtomicU64::new(0));
     let committed = Arc::new(AtomicU64::new(0));
     let t0 = Instant::now();
@@ -169,25 +186,42 @@ pub fn sched_point(
                 // Disjoint case-id ranges per session keep every work item
                 // fresh.
                 let mut case = vec![worker as i64 * 1_000_000_000; shards];
-                let mut tickets: Vec<Ticket<Completion>> = Vec::new();
+                let mut tickets: VecDeque<Ticket<Completion>> = VecDeque::new();
+                let executed = |t: Ticket<Completion>| {
+                    u64::from(matches!(t.wait(), Completion::Executed { .. }))
+                };
+                let mut n = 0;
                 // Submit in bursts with a yield between them so the pool
                 // workers interleave with the flooders on small hosts.
-                for i in 0..per_session {
+                for i in 0u64.. {
+                    let more = match offers {
+                        Offers::Total(total) => i < total / sessions as u64,
+                        Offers::UntilRebalanced(deadline) => {
+                            !i.is_multiple_of(256)
+                                || (runtime.sched_stats().rebalances == 0
+                                    && t0.elapsed() < deadline)
+                        }
+                    };
+                    if !more {
+                        break;
+                    }
                     let k = sampler.next();
                     case[k] += 1;
                     offered.fetch_add(1, Ordering::Relaxed);
                     if let Ok(ticket) = session.submit(&work(k, case[k])) {
-                        tickets.push(ticket);
+                        tickets.push_back(ticket);
+                    }
+                    if matches!(offers, Offers::UntilRebalanced(_))
+                        && tickets.len() > UNTIL_IN_FLIGHT
+                    {
+                        n += tickets.pop_front().map_or(0, executed);
                     }
                     if i.is_multiple_of(256) {
                         std::thread::yield_now();
                     }
                 }
-                let n = tickets
-                    .into_iter()
-                    .filter(|t| matches!(t.wait(), Completion::Executed { .. }))
-                    .count();
-                committed.fetch_add(n as u64, Ordering::Relaxed);
+                n += tickets.into_iter().map(executed).sum::<u64>();
+                committed.fetch_add(n, Ordering::Relaxed);
             });
         }
     });
@@ -225,11 +259,11 @@ pub fn sched_experiment(total: u64) -> SchedReport {
             let mut pools = vec![1, cores, shards];
             pools.dedup();
             for workers in pools {
-                points.push(sched_point(shards, shape, workers, false, total));
+                points.push(sched_point(shards, shape, workers, false, Offers::Total(total)));
             }
             if shape == LoadShape::Zipf {
                 let workers = cores.max(2);
-                points.push(sched_point(shards, shape, workers, true, total));
+                points.push(sched_point(shards, shape, workers, true, Offers::Total(total)));
             }
         }
     }
@@ -243,7 +277,7 @@ mod tests {
     #[test]
     fn pooled_and_thread_per_shard_commit_everything() {
         for workers in [1usize, 4] {
-            let point = sched_point(4, LoadShape::Zipf, workers, false, 2_000);
+            let point = sched_point(4, LoadShape::Zipf, workers, false, Offers::Total(2_000));
             assert_eq!(point.offered, 2_000);
             assert_eq!(point.committed, 2_000, "lost work at pool size {workers}");
         }
@@ -253,8 +287,12 @@ mod tests {
     fn rebalance_isolates_the_hot_shard_without_losing_work() {
         // Two workers, eight shards, heavy skew onto shard 0: the
         // rebalancer must move the cold co-residents off shard 0's worker
-        // and no task may be lost in the handoff.
-        let point = sched_point(8, LoadShape::Zipf, 2, true, 6_000);
+        // and no task may be lost in the handoff.  It acts only after three
+        // sustained-hot 5 ms passes, so the skew is offered until it has
+        // acted (or 10 s pass) rather than for a fixed count, which a fast
+        // host finishes before the third pass.
+        let until = Offers::UntilRebalanced(Duration::from_secs(10));
+        let point = sched_point(8, LoadShape::Zipf, 2, true, until);
         assert_eq!(point.committed, point.offered, "rebalance lost tasks");
         assert!(
             point.rebalances > 0,

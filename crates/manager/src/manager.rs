@@ -788,7 +788,7 @@ impl InteractionManager {
     ) -> ManagerResult<Vec<Notification>> {
         let mut prepared = Vec::with_capacity(guards.len());
         for (_, shard) in guards.iter() {
-            match shard.engine.prepare(action) {
+            match shard.engine.prepare_for_commit(action) {
                 Some(next) => prepared.push(next),
                 None => {
                     return Err(ManagerError::RejectedConfirmation { action: action.to_string() })

@@ -820,7 +820,7 @@ struct RuntimeShared {
     /// Queueing-delay sampling enabled (see [`RuntimeOptions::queue_metrics`]).
     queue_metrics: bool,
     /// (enqueue-wait, service) nanosecond pairs, one per completed execute,
-    /// flushed by the workers once per drain.
+    /// published by the workers at the end of every slice.
     queue_samples: Mutex<Vec<(u64, u64)>>,
     /// Per-shard admission limit (see [`RuntimeOptions::queue_limit`]) —
     /// kept here so repartitions gate their new shards identically.
@@ -3955,21 +3955,6 @@ fn advance_clock(shared: &Arc<RuntimeShared>, slot: &TopologySlot, delta: u64) -
 // The worker: one pool thread serving the shard slots placement assigns it.
 // ---------------------------------------------------------------------------
 
-/// True on hosts with a single hardware thread (cached).  One worker policy
-/// flips there: ticket wakeups are deferred and flushed in batches so a
-/// client/worker pair context-switches per drained queue instead of per
-/// completion.
-fn single_core() -> bool {
-    static CORES: AtomicU64 = AtomicU64::new(0);
-    let cached = CORES.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached == 1;
-    }
-    let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    CORES.store(parallelism as u64, Ordering::Relaxed);
-    parallelism == 1
-}
-
 /// Tasks a worker serves from one shard before moving to the next — the
 /// bounded run-to-completion slice that keeps a hot shard from starving its
 /// co-located siblings.
@@ -3987,12 +3972,14 @@ const HELP_PARK: Duration = Duration::from_micros(200);
 const IDLE_PARK: Duration = Duration::from_millis(10);
 
 /// Per-drain context a shard worker threads through its task processing:
-/// the deferred ticket-wakeup batch (single-core hosts) plus, when enabled,
-/// the queueing-delay samples of the drain.
+/// the banked ticket wakeups plus, when enabled, the queueing-delay samples
+/// of the drain.
 struct WorkerCtx {
-    /// Deferred ticket wakeups — flushed before every park and on exit, so
-    /// waiters are never stranded, and a whole queue drain costs one
-    /// client/worker context-switch round instead of one per completion.
+    /// Banked ticket wakeups, delivered at the end of every submission
+    /// window and of every slice, before every park, and at the 256 cap
+    /// (see [`serve_slice`]) — so waiters are never stranded, and a whole
+    /// window costs one client/worker wake round instead of one per
+    /// completion.
     wakes: WakeBatch,
     /// Queueing-delay sampling enabled ([`RuntimeOptions::queue_metrics`]).
     metrics: bool,
@@ -4056,16 +4043,11 @@ impl WorkerCtx {
     }
 }
 
-/// Fulfils a completion ticket from a shard worker.  On single-core hosts
-/// the waiter wakeup is deferred into the drain's wake batch (flushed
-/// before every park and on worker exit); elsewhere the completion wakes
-/// immediately.
+/// Fulfils a completion ticket from a shard worker.  Pollers and `then`
+/// callbacks see the value at once; a parked waiter's wakeup is banked in
+/// the worker's wake batch and delivered at the next flush point.
 fn fulfil(ticket: TicketIssuer<Completion>, value: Completion, cx: &mut WorkerCtx) {
-    if single_core() {
-        cx.wakes.push(ticket.complete_deferred(value));
-    } else {
-        ticket.complete(value);
-    }
+    cx.wakes.push(ticket.complete_deferred(value));
 }
 
 /// The help-while-waiting context a worker threads into its rendezvous
@@ -4159,6 +4141,13 @@ fn compile_one_idle(pool: &Arc<PoolCtl>, me: usize) -> bool {
 /// preserved because the state never leaves this frame mid-task.  `limit`
 /// bounds which rendezvous tasks may start (`u64::MAX` at top level; the
 /// blocked task's sequence in help frames — see [`help_one`]).
+///
+/// Ticket wakeups are banked (see [`fulfil`]) and delivered at the end of
+/// every submission window — its client waits on the window as a whole —
+/// and whenever the frame leaves the shard: queue empty, budget spent,
+/// `Pause`, `Stop`, or disconnection.  Single tasks flush per slice, not
+/// per task, so a client that pipelines single submissions is woken once
+/// per slice rather than once per completion.
 fn serve_slice(
     shared: &Arc<RuntimeShared>,
     pool: &Arc<PoolCtl>,
@@ -4196,6 +4185,7 @@ fn serve_slice(
                 Err(TryRecvError::Disconnected) => {
                     // Every sender dropped (runtime dropped without
                     // shutdown): the shard is finished.
+                    cx.flush(shared);
                     finish_slot(pool, &slot, st);
                     cx.gate = prev_gate;
                     return SliceOutcome::Finished;
@@ -4220,7 +4210,8 @@ fn serve_slice(
                 }
             }
             Task::Batch(tasks) => {
-                process_batch_window(shared, &mut st, tasks, cx, &mut divert_below)
+                process_batch_window(shared, &mut st, tasks, cx, &mut divert_below);
+                cx.wakes.flush();
             }
             Task::Multi(task) => {
                 if !multi_is_live(shared, &task, &mut divert_below) {
@@ -4321,6 +4312,7 @@ fn serve_slice(
         }
     };
     checkin(&slot, st, pushback, divert_below);
+    cx.flush(shared);
     cx.gate = prev_gate;
     outcome
 }
@@ -5539,7 +5531,7 @@ fn process_single(
             }
             match removed {
                 None => Completion::Failed { error: ManagerError::UnknownReservation { id } },
-                Some(reservation) => match st.engine.prepare(&reservation.action) {
+                Some(reservation) => match st.engine.prepare_for_commit(&reservation.action) {
                     None => Completion::Failed {
                         error: ManagerError::RejectedConfirmation {
                             action: reservation.action.to_string(),
@@ -5613,7 +5605,7 @@ fn single_commit(
         meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
         return None;
     }
-    let Some(next) = st.engine.prepare(action) else {
+    let Some(next) = st.engine.prepare_for_commit(action) else {
         // The reservation-aware probe can pass while the immediate commit is
         // impossible; that is a denial, exactly as in the blocking manager.
         shared.stats.denials.fetch_add(1, Ordering::Relaxed);
@@ -6570,5 +6562,96 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(samples, completed, "one queueing sample per completed multi-owner task");
+    }
+
+    #[test]
+    fn banked_wakes_never_strand_a_waiter() {
+        // Workers bank every ticket wakeup and deliver the bank on their way
+        // out of a window or slice.  Windows here mix single-owner runs, an
+        // inline denial and a multi-owner audit mid-window, while couplings
+        // widen `call_a`/`call_b`, pausing their shards and diverting the
+        // windows in flight; the runtime ends with queued work behind a
+        // Stop (two workers) or disconnected by a drop (one worker).  Every
+        // ticket must resolve.
+        for workers in [2usize, 1] {
+            let options = RuntimeOptions {
+                variant: ProtocolVariant::Combined,
+                worker_threads: workers,
+                ..RuntimeOptions::default()
+            };
+            let runtime = ManagerRuntime::with_options(&coupled_constraint(), options).unwrap();
+            // A fulfilled ticket whose wakeup was never delivered still reads
+            // its value when the timeout expires, so the wait is timed.
+            let resolve = |t: &Ticket<Completion>| {
+                let start = Instant::now();
+                let completion = t.wait_timeout(Duration::from_secs(5));
+                assert!(
+                    completion.is_some() && start.elapsed() < Duration::from_secs(5),
+                    "a ticket was stranded at pool size {workers}"
+                );
+                completion.unwrap()
+            };
+            let window = |dept: char, p: i64| {
+                [
+                    dept_action("call", dept, p),
+                    dept_action("perform", dept, p),
+                    Action::nullary("zzz"),
+                    audit(),
+                    dept_action("call", dept, p + 1),
+                    dept_action("perform", dept, p + 1),
+                ]
+            };
+            let (stop, windows) = (AtomicBool::new(false), AtomicU64::new(0));
+            std::thread::scope(|scope| {
+                for (client, dept) in [(1, 'a'), (2, 'b')] {
+                    let (runtime, stop, windows) = (&runtime, &stop, &windows);
+                    scope.spawn(move || {
+                        let session = runtime.session(client);
+                        for w in 0.. {
+                            if w >= 200 && stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            for t in session.submit_batch(&window(dept, 2 * w)) {
+                                match resolve(&t) {
+                                    Completion::Executed { .. } | Completion::Denied => {}
+                                    other => panic!("unexpected completion {other:?}"),
+                                }
+                            }
+                            windows.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+                while windows.load(Ordering::Relaxed) < 20 {
+                    std::thread::yield_now();
+                }
+                // A window is diverted only when it was stamped before an
+                // epoch bump and queued across it, so keep coupling until
+                // that race is caught.
+                for round in 0..50 {
+                    let dept = ['a', 'b'][round % 2];
+                    let coupling = format!("((some p {{ call_{dept}(p) }})* - probe{round})*");
+                    runtime.couple(&parse(&coupling).unwrap()).unwrap();
+                    if runtime.repartition_stats().rerouted_tasks > 0 {
+                        break;
+                    }
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            assert!(
+                runtime.repartition_stats().rerouted_tasks > 0,
+                "no window was diverted by the couplings at pool size {workers}"
+            );
+            let session = runtime.session(3);
+            let tail = session.submit_batch(&window('c', 0));
+            if workers == 2 {
+                runtime.shutdown().unwrap();
+            } else {
+                drop(session);
+                drop(runtime);
+            }
+            for t in &tail {
+                resolve(t);
+            }
+        }
     }
 }

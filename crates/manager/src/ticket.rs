@@ -177,10 +177,11 @@ impl<T: Clone> TicketIssuer<T> {
 
     /// Fulfils the ticket like [`TicketIssuer::complete`] but *defers* the
     /// waiter wakeup: the returned handle (present only when somebody is
-    /// actually parked) must be [`DeferredWake::wake`]d later.  Pollers see
-    /// the value immediately; parked waiters sleep until the wake.  Shard
-    /// workers on single-hardware-thread hosts use this to flush a whole
-    /// batch of wakeups at once instead of context-switching per completion.
+    /// actually parked) must be [`DeferredWake::wake`]d later.  Pollers and
+    /// callbacks see the value immediately; parked waiters sleep until the
+    /// wake.  Shard workers fulfil every ticket this way and deliver a
+    /// whole window's wakeups at once, so a client parked on a window is
+    /// woken once for it rather than once per completion.
     pub fn complete_deferred(self, value: T) -> Option<DeferredWake>
     where
         T: Send + 'static,
@@ -206,8 +207,8 @@ impl<T: Clone> TicketIssuer<T> {
 
 /// The pending wakeup of a fulfilled ticket with parked waiters (see
 /// [`TicketIssuer::complete_deferred`]).  Dropping it without waking would
-/// strand the waiters; the runtime flushes its deferred wakes before every
-/// park and on exit.
+/// strand the waiters; the runtime flushes its deferred wakes at the end of
+/// every window and slice, before every park, and on exit.
 pub struct DeferredWake(Arc<dyn Notify + Send + Sync>);
 
 impl DeferredWake {
@@ -223,14 +224,14 @@ impl std::fmt::Debug for DeferredWake {
     }
 }
 
-/// A drain-scoped batch of deferred ticket wakeups.
+/// A batch of deferred ticket wakeups.
 ///
-/// Shard workers bank every completion wakeup of one queue drain in here —
-/// locals, denials, and cascaded cross-shard commits alike — and deliver
-/// them in a single flush before the next park.  On a host where producer
-/// and consumer share a hardware thread this turns one context switch per
-/// completion into one per drain; anywhere else it merely moves the
-/// `notify_all` calls off the decision path.
+/// Shard workers bank every completion wakeup in here — locals, denials,
+/// and cascaded cross-shard commits alike — and deliver them in one flush
+/// at the end of each submission window or slice and before every park.
+/// A client that waits on a window is then woken once for the window
+/// instead of once per completion, and the `notify_all` calls leave the
+/// decision path.
 #[derive(Debug, Default)]
 pub struct WakeBatch {
     wakes: Vec<DeferredWake>,

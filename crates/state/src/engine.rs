@@ -26,6 +26,13 @@
 //! reused while the entry exists.  The memo is invisible semantically — τ̂
 //! is pure — and `set_memo_capacity(0)` disables it (the equivalence
 //! property tests drive memo-on and memo-off engines in lockstep).
+//!
+//! Only probes and speculative steps insert.  A step computed from the
+//! committed state and installed at once ([`Engine::prepare_for_commit`],
+//! [`Engine::try_execute`]) looks the memo up but does not insert the
+//! successor it installs: after the commit the entry's key would be a dead
+//! state that only the entry itself keeps alive, so it could never hit.  On workloads where every
+//! action is fresh (a new case id per action) that insert was pure cost.
 
 use crate::compile::{compile_all, visit_shared, CompileBudget, CompileOutcome, CompiledTable};
 use crate::compile::{TableParts, TierStats, DEAD, DEFAULT_TIER_BUDGET};
@@ -476,7 +483,11 @@ impl Engine {
     /// action, and entries pin their key state alive), then the tree walk —
     /// which itself consults the tier at every shared child, so
     /// table-resident subtrees under a CoW spine still answer in O(1).
-    fn transition(&self, base: &Shared<State>, action: &Action) -> Shared<State> {
+    /// `committing` marks a step from the committed state that the caller
+    /// installs at once if it is valid: a valid successor computed for it
+    /// stays out of the memo (its key dies at the commit), a denial goes in
+    /// (the state stays put, so a repeated attempt can hit).
+    fn transition(&self, base: &Shared<State>, action: &Action, committing: bool) -> Shared<State> {
         let tier_on = self.options.optimize && self.tier.has_tables();
         if tier_on {
             if let Some(next) = self.tier.tier_step(base, action) {
@@ -515,7 +526,9 @@ impl Engine {
                 self.tier.attach_probe(&next);
             }
         }
-        self.memo.borrow_mut().insert(base, action, next.clone());
+        if !committing || !self.successor_valid(&next) {
+            self.memo.borrow_mut().insert(base, action, next.clone());
+        }
         next
     }
 
@@ -582,7 +595,7 @@ impl Engine {
         if !action.is_concrete() {
             return false;
         }
-        let next = self.transition(&self.state, action);
+        let next = self.transition(&self.state, action, false);
         self.successor_valid(&next)
     }
 
@@ -629,7 +642,7 @@ impl Engine {
                 continue;
             }
             let base = speculative.as_ref().unwrap_or(&self.state);
-            let next = self.transition(base, r);
+            let next = self.transition(base, r, false);
             if self.successor_valid(&next) {
                 speculative = Some(next);
             }
@@ -638,7 +651,7 @@ impl Engine {
             return false;
         }
         let base = speculative.as_ref().unwrap_or(&self.state);
-        let next = self.transition(base, action);
+        let next = self.transition(base, action, false);
         self.successor_valid(&next)
     }
 
@@ -667,7 +680,7 @@ impl Engine {
                 continue;
             }
             let base = speculative.as_ref().unwrap_or(&self.state);
-            let next = self.transition(base, r);
+            let next = self.transition(base, r, false);
             if self.successor_valid(&next) {
                 speculative = Some(next);
             }
@@ -676,7 +689,7 @@ impl Engine {
             return (false, hasher.finish());
         }
         let base = speculative.as_ref().unwrap_or(&self.state);
-        let next = self.transition(base, action);
+        let next = self.transition(base, action, false);
         (self.successor_valid(&next), hasher.finish())
     }
 
@@ -721,7 +734,25 @@ impl Engine {
         if !action.is_concrete() {
             return None;
         }
-        let next = self.transition(base.unwrap_or(&self.state), action);
+        let next = self.transition(base.unwrap_or(&self.state), action, false);
+        if self.successor_valid(&next) {
+            Some(next)
+        } else {
+            None
+        }
+    }
+
+    /// [`Engine::prepare`] for a successor the caller installs at once with
+    /// [`Engine::commit_prepared`] (no other step of this engine in
+    /// between): the memo is looked up — an earlier `is_permitted` or `ask`
+    /// probe of the same action makes this a hit — but a computed valid
+    /// successor is not inserted, since its key becomes a dead state at the
+    /// commit.
+    pub fn prepare_for_commit(&self, action: &Action) -> Option<Shared<State>> {
+        if !action.is_concrete() {
+            return None;
+        }
+        let next = self.transition(&self.state, action, true);
         if self.successor_valid(&next) {
             Some(next)
         } else {
@@ -741,10 +772,11 @@ impl Engine {
 
     /// Performs the accept/reject step of the action problem: the action is
     /// committed iff its tentative successor state is valid.  Returns true
-    /// if the action was accepted.  Equivalent to [`Engine::prepare`]
-    /// followed by [`Engine::commit_prepared`] (or a recorded rejection).
+    /// if the action was accepted.  Equivalent to
+    /// [`Engine::prepare_for_commit`] followed by [`Engine::commit_prepared`]
+    /// (or a recorded rejection).
     pub fn try_execute(&mut self, action: &Action) -> bool {
-        match self.prepare(action) {
+        match self.prepare_for_commit(action) {
             Some(next) => {
                 self.commit_prepared(next);
                 true
@@ -760,7 +792,7 @@ impl Engine {
     /// Used by failure-injection tests to model clients that bypass the
     /// coordination protocol.
     pub fn force_execute(&mut self, action: &Action) {
-        self.state = self.transition(&self.state, action);
+        self.state = self.transition(&self.state, action, true);
         self.accepted += 1;
     }
 
@@ -982,6 +1014,40 @@ mod tests {
             assert!(eng.memo.borrow().map.len() <= 2, "memo exceeded its bound");
             assert!(eng.try_execute(&a("a")));
         }
+    }
+
+    #[test]
+    fn committed_steps_leave_the_memo_empty() {
+        // Every action carries a fresh case id, so no step ever repeats.
+        let e = parse("(some p { call(p) - perform(p) })*").unwrap();
+        let mut eng = Engine::new(&e).unwrap();
+        let call = |p: i64| Action::concrete("call", [Value::int(p)]);
+        let perform = |p: i64| Action::concrete("perform", [Value::int(p)]);
+        for p in 0..500 {
+            assert!(eng.try_execute(&call(p)));
+            let next = eng.prepare_for_commit(&perform(p)).expect("permitted");
+            eng.commit_prepared(next);
+        }
+        assert_eq!(eng.accepted(), 1_000);
+        assert!(eng.memo.borrow().map.is_empty(), "a committed step was memoized");
+        // A denial leaves the state in place, so it is still memoized.
+        assert!(!eng.try_execute(&perform(0)));
+        assert_eq!(eng.rejected(), 1);
+        assert_eq!(eng.memo.borrow().map.len(), 1);
+    }
+
+    #[test]
+    fn a_commit_installs_the_successor_its_probe_memoized() {
+        let e = parse("(a - b)*").unwrap();
+        let mut eng = Engine::new(&e).unwrap();
+        assert!(eng.is_permitted(&a("a")));
+        let probed =
+            eng.memo.borrow().lookup(eng.state_handle(), &a("a")).expect("the probe memoized");
+        assert!(eng.try_execute(&a("a")));
+        assert!(
+            crate::state::Shared::ptr_eq(&probed, eng.state_handle()),
+            "the commit must install the probe's successor, not recompute it"
+        );
     }
 
     #[test]
