@@ -27,12 +27,14 @@
 //! is pure — and `set_memo_capacity(0)` disables it (the equivalence
 //! property tests drive memo-on and memo-off engines in lockstep).
 //!
-//! Only probes and speculative steps insert.  A step computed from the
-//! committed state and installed at once ([`Engine::prepare_for_commit`],
-//! [`Engine::try_execute`]) looks the memo up but does not insert the
-//! successor it installs: after the commit the entry's key would be a dead
-//! state that only the entry itself keeps alive, so it could never hit.  On workloads where every
-//! action is fresh (a new case id per action) that insert was pure cost.
+//! Probes and speculative steps insert their successors.  A step computed
+//! from the committed state and installed at once
+//! ([`Engine::prepare_for_commit`], [`Engine::try_execute`]) looks the memo
+//! up but does not insert the successor it installs: after the commit the
+//! entry's key would be a dead state that only the entry itself keeps
+//! alive, so it could never hit.  (A denial is still inserted; the state
+//! stays.)  On workloads where every action is fresh — a new case id per
+//! action — that insert was pure cost.
 
 use crate::compile::{compile_all, visit_shared, CompileBudget, CompileOutcome, CompiledTable};
 use crate::compile::{TableParts, TierStats, DEAD, DEFAULT_TIER_BUDGET};
