@@ -4147,7 +4147,9 @@ fn compile_one_idle(pool: &Arc<PoolCtl>, me: usize) -> bool {
 /// and whenever the frame leaves the shard: queue empty, budget spent,
 /// `Pause`, `Stop`, or disconnection.  Single tasks flush per slice, not
 /// per task, so a client that pipelines single submissions is woken once
-/// per slice rather than once per completion.
+/// per slice rather than once per completion — except on a durable shard,
+/// which delivers each single-owner wake before its next journal append
+/// (see [`process_single`]).
 fn serve_slice(
     shared: &Arc<RuntimeShared>,
     pool: &Arc<PoolCtl>,
@@ -5587,6 +5589,12 @@ fn process_single(
         Op::Query { action } => Completion::Status { permitted: st.engine.is_permitted(&action) },
     };
     fulfil(ticket, completion, cx);
+    if st.wal.is_some() {
+        // The next task's journal append may block on an fsync: deliver
+        // the wake now, so the client harvests during that sync rather
+        // than after the window's last one.
+        cx.wakes.flush();
+    }
     cx.record(submitted);
 }
 
